@@ -5,8 +5,11 @@
 // result as a new baseline (-write) or prints a comparison table against
 // an existing one.
 //
-//	go test -bench=. -count=3 . | benchdiff -write BENCH_5.json
-//	go test -bench=. -count=3 . | benchdiff -baseline BENCH_5.json
+//	go test -bench=. -count=3 . | benchdiff -write BENCH_10.json
+//	go test -bench=. -count=3 . | benchdiff -baseline BENCH_10.json
+//
+// `make bench-baseline` and `make benchdiff` run exactly these over the
+// headline benchmarks.
 //
 // The comparison is advisory by default: deltas beyond the threshold are
 // flagged loudly but the exit status stays 0, because these are wall-clock
@@ -29,7 +32,7 @@ import (
 	"strings"
 )
 
-// Baseline is the committed benchmark record (BENCH_5.json).
+// Baseline is the committed benchmark record (BENCH_10.json).
 type Baseline struct {
 	// Note documents the machine and toolchain the baseline was taken on;
 	// comparisons on other machines are indicative, not precise.

@@ -42,12 +42,13 @@ func TestCmdRunJobsDeterminism(t *testing.T) {
 // TestCmdRunIdentityMatrix pins the perf-rewrite acceptance bar end to
 // end: `run -quick -json all` must be byte-identical across -jobs 1 and
 // -jobs 8, cold and warm in-process caches, and cold and warm persistent
-// stores. The warm in-process legs are the shared-prep fast path — the
-// second sweep replays the memoized ideal.Prep through RunPrepared (the
-// prep-hit assertion below proves that path actually ran) — and the warm
-// store leg replays results from disk after the in-memory cache is
-// dropped, so a serialization or fingerprint bug cannot hide behind the
-// memory cache.
+// stores. The cold sweep exercises the shared-prep fast path — detailed
+// configurations replay one memoized ooo.Prep through RunPrepared (the
+// prep-hit assertion below proves that path actually ran) — the warm
+// in-process legs are served entirely from memoized artifacts, ideal
+// grids included, and the warm store leg replays results and grids from
+// disk after the in-memory cache is dropped, so a serialization or
+// fingerprint bug cannot hide behind the memory cache.
 func TestCmdRunIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full quick sweeps; the non-short run covers this")
@@ -64,13 +65,16 @@ func TestCmdRunIdentityMatrix(t *testing.T) {
 	}
 	runner.Artifacts.Reset()
 	ref := sweep("-jobs", "1", "all")
+	if s := runner.Artifacts.Stats(); s.PrepHits == 0 {
+		t.Errorf("cold sweep recorded no prep hits; RunPrepared reuse not exercised: %+v", s)
+	}
 
 	before := runner.Artifacts.Stats()
 	if got := sweep("-jobs", "1", "all"); got != ref {
 		t.Errorf("warm -jobs 1 differs from cold reference (len %d vs %d)", len(got), len(ref))
 	}
-	if d := runner.Artifacts.Stats().Sub(before); d.PrepHits == 0 {
-		t.Errorf("warm sweep recorded no prep hits; RunPrepared reuse not exercised: %+v", d)
+	if d := runner.Artifacts.Stats().Sub(before); d.Misses() != 0 || d.IdealHits == 0 {
+		t.Errorf("warm sweep recomputed an artifact or never looked up an ideal grid: %+v", d)
 	}
 	if got := sweep("-jobs", "8", "all"); got != ref {
 		t.Errorf("warm -jobs 8 differs from cold reference (len %d vs %d)", len(got), len(ref))

@@ -167,8 +167,9 @@ type Health struct {
 	Status  string `json:"status"`
 	Queued  int    `json:"queued"`
 	Running int    `json:"running"`
-	// Completed counts terminal jobs (done, failed, cancelled) still
-	// retained for result and event retrieval.
+	// Completed counts terminal jobs (done, failed, cancelled),
+	// including those whose result and event log were already dropped
+	// by the daemon's bounded retention.
 	Completed int `json:"completed"`
 	// Store reports persistent artifact store activity; absent when the
 	// daemon runs without -cache-dir.

@@ -3,10 +3,12 @@ package api
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cisim/internal/runner"
+	"cisim/internal/store"
 	"cisim/internal/workloads"
 )
 
@@ -132,5 +134,63 @@ func TestBuild(t *testing.T) {
 	}
 	if v.API != Version {
 		t.Errorf("Build().API = %d, want %d", v.API, Version)
+	}
+}
+
+// jobEndSink keeps every job_end event.
+type jobEndSink struct {
+	mu   sync.Mutex
+	ends []runner.Event
+}
+
+func (s *jobEndSink) Emit(e runner.Event) {
+	if e.Ev != "job_end" {
+		return
+	}
+	s.mu.Lock()
+	s.ends = append(s.ends, e)
+	s.mu.Unlock()
+}
+
+// TestRunStoreWarmSimulatesNothing: over a store a cold sweep filled, a
+// sweep from an empty in-memory cache serves every detailed result and
+// every ideal grid from disk, so none of those jobs reports simulated
+// instructions.
+func TestRunStoreWarmSimulatesNothing(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	runner.Artifacts.Reset()
+	runner.Artifacts.SetStore(st)
+	defer func() {
+		runner.Artifacts.SetStore(nil)
+		runner.Artifacts.Reset()
+	}()
+	req := &SweepRequest{V: Version, Experiments: []string{"fig3", "fig5"}, Quick: true}
+	if _, err := Run(context.Background(), req, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	runner.Artifacts.Reset()
+	sink := &jobEndSink{}
+	out, err := Run(context.Background(), req, RunOptions{Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * len(workloads.All()); len(sink.ends) != want {
+		t.Fatalf("%d job_end events, want %d", len(sink.ends), want)
+	}
+	for _, e := range sink.ends {
+		if e.Instrs != 0 {
+			t.Errorf("store-warm job %s/%s reports %d instructions simulated, want 0", e.Exp, e.Key, e.Instrs)
+		}
+	}
+	if out.Summary.Instrs != 0 {
+		t.Errorf("store-warm sweep reports %d instructions simulated, want 0", out.Summary.Instrs)
+	}
+	if cs := out.Summary.Cache; cs.StorePuts != 0 || cs.IdealMisses != uint64(len(workloads.All())) {
+		t.Errorf("store-warm cache stats = %+v, want no puts and one ideal grid per workload", cs)
 	}
 }

@@ -229,24 +229,17 @@ func (c *wctx) detailed(cfg ooo.Config) (*ooo.Result, error) {
 	return r, nil
 }
 
-// ideal runs the workload's trace through a Section 2 idealized model,
-// over the shared prep (one golden stream and derived arrays per
-// workload/scale, reused across every model and window size). Trace
-// generation is charged once per cache fill, exactly as c.trace does.
-func (c *wctx) ideal(cfg ideal.Config) (ideal.Result, error) {
-	pre, traceHit, err := runner.Artifacts.IdealPrep(c.w, c.o.iters(c.w),
-		trace.Options{MaxInstrs: c.o.maxTraceInstrs()})
-	if err != nil {
-		return ideal.Result{}, err
-	}
-	if !traceHit {
-		c.part.Instrs += uint64(len(pre.Trace.Entries))
-	}
-	r, err := ideal.RunPrepared(pre, cfg)
-	if err == nil {
-		c.part.Instrs += r.Retired
-	}
-	return r, err
+// ideal runs the workload's trace through the Section 2 idealized
+// models under each configuration and returns the results in order. The
+// whole grid is one artifact in the shared cache (and the persistent
+// store, when attached), so a re-run schedules nothing; only work this
+// call actually did — trace generation and the scheduled instructions —
+// is charged to the Partial.
+func (c *wctx) ideal(cfgs []ideal.Config) ([]ideal.Result, error) {
+	g, instrs, err := runner.Artifacts.Ideal(c.w, c.o.iters(c.w),
+		trace.Options{MaxInstrs: c.o.maxTraceInstrs()}, cfgs)
+	c.part.Instrs += instrs
+	return g, err
 }
 
 // RunWorkload computes one workload's partial result — the unit of work

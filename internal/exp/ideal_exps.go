@@ -56,17 +56,24 @@ func fig3Windows(o Options) []int {
 
 func wlFig3(c *wctx) error {
 	models := ideal.Models()
+	wins := fig3Windows(c.o)
+	var cfgs []ideal.Config
+	for _, win := range wins {
+		for _, m := range models {
+			cfgs = append(cfgs, ideal.Config{Model: m, WindowSize: win})
+		}
+	}
+	rs, err := c.ideal(cfgs)
+	if err != nil {
+		return err
+	}
 	curves := make([]plot.Series, len(models))
 	for mi, m := range models {
 		curves[mi].Name = m.String()
 	}
-	for _, win := range fig3Windows(c.o) {
+	for wi, win := range wins {
 		row := Row{c.w.Name, win}
-		for mi, m := range models {
-			r, err := c.ideal(ideal.Config{Model: m, WindowSize: win})
-			if err != nil {
-				return err
-			}
+		for mi, r := range rs[wi*len(models) : (wi+1)*len(models)] {
 			row = append(row, fmtF(r.IPC))
 			curves[mi].Points = append(curves[mi].Points, plot.Point{X: float64(win), Y: r.IPC})
 		}

@@ -35,27 +35,39 @@ const (
 	KindTrace   = "trace"
 	KindPrep    = "prep"
 	KindResult  = "result"
+	KindIdeal   = "ideal"
 )
 
 // stageSpanName maps an artifact kind to its pipeline-stage span name
 // (DESIGN.md §14); the result kind is the detailed simulation itself.
+// The ideal kind opens no span: the schedulers run in the job's own
+// time, and the trace, prep and store spans of a grid's miss path nest
+// directly under the job span.
 func stageSpanName(kind string) string {
-	if kind == KindResult {
+	switch kind {
+	case KindResult:
 		return "stage:sim"
+	case KindIdeal:
+		return ""
 	}
 	return "stage:" + kind
 }
 
 // Cache is a content-addressed artifact cache for the experiment
-// harness. It memoizes the three expensive, deterministic artifacts the
+// harness. It memoizes the expensive, deterministic artifacts the
 // experiments re-derive over and over:
 //
 //	program — an assembled workload, addressed by the hash of its
 //	          assembly source (which encodes the iteration count);
 //	trace   — an annotated dynamic trace, addressed by the program
 //	          address plus the trace.Options;
+//	prep    — the shared pre-simulation state of a trace (ideal) or a
+//	          program (ooo), addressed like the artifact it derives from;
 //	result  — a detailed ooo simulation, addressed by the program
-//	          address plus the canonical ooo.Config key.
+//	          address plus the canonical ooo.Config key;
+//	ideal   — a grid of Section 2 ideal-model runs over one trace,
+//	          addressed by the program address, the trace.Options and
+//	          every configuration's canonical ideal.Config key.
 //
 // Every artifact is immutable once built (programs and traces are
 // read-only to the simulators, results are read-only to the renderers),
@@ -137,16 +149,18 @@ type CacheStats struct {
 	// quarantined as corrupt.
 	StoreHits, StorePuts        uint64
 	StoreEvictions, StoreHealed uint64
+	// IdealHits and IdealMisses count ideal-model grid lookups.
+	IdealHits, IdealMisses uint64
 }
 
 // Hits returns total cache hits across kinds.
 func (s CacheStats) Hits() uint64 {
-	return s.ProgramHits + s.TraceHits + s.PrepHits + s.ResultHits
+	return s.ProgramHits + s.TraceHits + s.PrepHits + s.ResultHits + s.IdealHits
 }
 
 // Misses returns total cache misses across kinds.
 func (s CacheStats) Misses() uint64 {
-	return s.ProgramMisses + s.TraceMisses + s.PrepMisses + s.ResultMisses
+	return s.ProgramMisses + s.TraceMisses + s.PrepMisses + s.ResultMisses + s.IdealMisses
 }
 
 // HitRate returns the overall hit fraction in [0,1], 0 when unused.
@@ -163,6 +177,7 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 		Healed:    s.Healed - prev.Healed,
 		StoreHits: s.StoreHits - prev.StoreHits, StorePuts: s.StorePuts - prev.StorePuts,
 		StoreEvictions: s.StoreEvictions - prev.StoreEvictions, StoreHealed: s.StoreHealed - prev.StoreHealed,
+		IdealHits: s.IdealHits - prev.IdealHits, IdealMisses: s.IdealMisses - prev.IdealMisses,
 	}
 }
 
@@ -216,15 +231,16 @@ func (c *Cache) Stats() CacheStats {
 		return kindStats{}
 	}
 	p, t, r := get(KindProgram), get(KindTrace), get(KindResult)
-	pr := get(KindPrep)
+	pr, id := get(KindPrep), get(KindIdeal)
 	return CacheStats{
 		ProgramHits: p.hits, ProgramMisses: p.misses,
 		TraceHits: t.hits, TraceMisses: t.misses,
 		PrepHits: pr.hits, PrepMisses: pr.misses,
 		ResultHits: r.hits, ResultMisses: r.misses,
-		Healed:    p.healed + t.healed + pr.healed + r.healed,
+		Healed:    p.healed + t.healed + pr.healed + r.healed + id.healed,
 		StoreHits: c.store.hits, StorePuts: c.store.puts,
 		StoreEvictions: c.store.evictions, StoreHealed: c.store.quarantines,
+		IdealHits: id.hits, IdealMisses: id.misses,
 	}
 }
 
@@ -248,7 +264,8 @@ func Address(parts ...string) string { return addr(parts...) }
 // first caller computes, concurrent callers block until the value is
 // ready, later callers return it immediately. The bool reports whether
 // the value came from the cache (including waiting on an in-flight
-// computation) rather than being computed by this call.
+// computation, or reading it from the persistent store) rather than
+// being computed by this call.
 //
 // Two deliberate asymmetries against a plain memo table:
 //
@@ -282,6 +299,7 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 		return e.val, true, e.err
 	}
 	e := &entry{ready: make(chan struct{})}
+	var fromDisk bool
 	c.entries[address] = e
 	st.misses++
 	sink := c.sink
@@ -304,7 +322,10 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 		// included — and binds this goroutine so store spans nest under
 		// it. Only the computing goroutine pays it; singleflight waiters
 		// attribute the wait to their own job span.
-		sp := telemetry.StartSpan(stageSpanName(kind))
+		var sp *telemetry.Span
+		if name := stageSpanName(kind); name != "" {
+			sp = telemetry.StartSpan(name)
+		}
 		if sp != nil {
 			sp.Kind, sp.Key, sp.Addr = kind, key, address
 		}
@@ -326,7 +347,7 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 		}()
 		// throughDisk consults the persistent store (when one is attached
 		// and the kind persists) before falling back to compute.
-		e.val, e.err = c.throughDisk(kind, key, address, compute)
+		e.val, fromDisk, e.err = c.throughDisk(kind, key, address, compute)
 	}()
 	if e.err == nil {
 		e.sum, e.summed = fingerprint(e.val)
@@ -345,7 +366,7 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 			}
 		}
 	}
-	return e.val, false, e.err
+	return e.val, fromDisk, e.err
 }
 
 // heal quarantines a corrupt entry and recomputes it once. Concurrent
@@ -405,14 +426,13 @@ func (c *Cache) Trace(w *workloads.Workload, iters int, opt trace.Options) (*tra
 	return v.(*trace.Trace), hit, nil
 }
 
-// IdealPrep returns the shared ideal-model preparation of a workload's
+// idealPrep returns the shared ideal-model preparation of a workload's
 // trace — the golden stream plus the per-entry latency/source arrays the
 // six Section 2 schedulers all derive — addressed by the program's
-// content address plus the trace options. One prep serves every (model,
-// window) point of a sweep. The bool reports whether the underlying
-// trace was a cache hit, which is what the experiments' instruction
+// content address plus the trace options. The bool reports whether the
+// underlying trace was a cache hit, which is what the instruction
 // accounting keys on.
-func (c *Cache) IdealPrep(w *workloads.Workload, iters int, opt trace.Options) (*ideal.Prep, bool, error) {
+func (c *Cache) idealPrep(w *workloads.Workload, iters int, opt trace.Options) (*ideal.Prep, bool, error) {
 	tr, traceHit, err := c.Trace(w, iters, opt)
 	if err != nil {
 		return nil, traceHit, err
@@ -426,6 +446,57 @@ func (c *Cache) IdealPrep(w *workloads.Workload, iters int, opt trace.Options) (
 		return nil, traceHit, err
 	}
 	return v.(*ideal.Prep), traceHit, nil
+}
+
+// Ideal returns the grid of Section 2 ideal-model runs of a workload's
+// trace under each configuration, in order, addressed by the program's
+// content address, the trace options and every configuration's
+// canonical key. The whole grid is one artifact, so a persistent store
+// holds one blob per workload sweep rather than one per point. The
+// trace and its prep are built inside the compute: a grid served from
+// memory or the store builds neither. The uint64 is the instructions
+// this call actually simulated: the scheduled instructions of every run
+// plus the trace's length when this call generated it, and 0 when the
+// grid was served. A grid containing a non-memoizable configuration
+// (RecordTimes) is computed directly, uncached.
+func (c *Cache) Ideal(w *workloads.Workload, iters int, opt trace.Options, cfgs []ideal.Config) (ideal.Grid, uint64, error) {
+	var instrs uint64
+	compute := func() (interface{}, error) {
+		pre, traceHit, err := c.idealPrep(w, iters, opt)
+		if err != nil {
+			return nil, err
+		}
+		if !traceHit {
+			instrs += uint64(len(pre.Trace.Entries))
+		}
+		g := make(ideal.Grid, len(cfgs))
+		for i, cfg := range cfgs {
+			if g[i], err = ideal.RunPrepared(pre, cfg); err != nil {
+				return nil, err
+			}
+			instrs += g[i].Retired
+		}
+		return g, nil
+	}
+	src := w.Source(iters)
+	parts := []string{KindIdeal, src, fmt.Sprintf("%+v", opt)}
+	for _, cfg := range cfgs {
+		k, memoizable := cfg.Key()
+		if !memoizable {
+			v, err := compute()
+			if err != nil {
+				return nil, instrs, err
+			}
+			return v.(ideal.Grid), instrs, nil
+		}
+		parts = append(parts, k)
+	}
+	key := fmt.Sprintf("%s iters=%d ideal grid of %d %+v", w.Name, iters, len(cfgs), opt)
+	v, _, err := c.get(KindIdeal, key, addr(parts...), compute)
+	if err != nil {
+		return nil, instrs, err
+	}
+	return v.(ideal.Grid), instrs, nil
 }
 
 // prep returns the shared pre-simulation artifacts (golden stream, CFG
@@ -447,28 +518,31 @@ func (c *Cache) prep(w *workloads.Workload, iters int, p *prog.Program, maxInstr
 // Detailed returns the result of running a workload through the
 // detailed simulator under cfg, addressed by the program's content
 // address plus the canonical configuration key (so configurations that
-// only differ in spelled-out defaults share an entry). Configurations
-// carrying debug hooks are executed directly — uncached, though still
-// over the shared prep artifacts. The bool reports a cache hit.
+// only differ in spelled-out defaults share an entry). The prep is
+// built inside the compute, so a result served from memory or the store
+// never builds it. Configurations carrying debug hooks are executed
+// directly — uncached, though still over the shared prep artifacts. The
+// bool reports a cache hit.
 func (c *Cache) Detailed(w *workloads.Workload, iters int, cfg ooo.Config) (*ooo.Result, bool, error) {
 	p, _, err := c.Program(w, iters)
 	if err != nil {
 		return nil, false, err
 	}
-	pre, err := c.prep(w, iters, p, cfg.MaxInstrs)
-	if err != nil {
-		return nil, false, err
+	run := func() (*ooo.Result, error) {
+		pre, err := c.prep(w, iters, p, cfg.MaxInstrs)
+		if err != nil {
+			return nil, err
+		}
+		return ooo.RunPrepared(p, cfg, pre)
 	}
 	ck, memoizable := cfg.Key()
 	if !memoizable {
-		r, err := ooo.RunPrepared(p, cfg, pre)
+		r, err := run()
 		return r, false, err
 	}
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d %s", w.Name, iters, cfg.Machine)
-	v, hit, err := c.get(KindResult, key, addr(KindResult, src, ck), func() (interface{}, error) {
-		return ooo.RunPrepared(p, cfg, pre)
-	})
+	v, hit, err := c.get(KindResult, key, addr(KindResult, src, ck), func() (interface{}, error) { return run() })
 	if err != nil {
 		return nil, hit, err
 	}

@@ -109,9 +109,9 @@ func TestDetailedCanonicalKey(t *testing.T) {
 	if s.ResultMisses != 2 || s.ResultHits != 1 {
 		t.Errorf("result stats = %d hits / %d misses, want 1/2", s.ResultHits, s.ResultMisses)
 	}
-	// One prep serves all three simulations.
-	if s.PrepMisses != 1 || s.PrepHits != 2 {
-		t.Errorf("prep stats = %d hits / %d misses, want 2/1", s.PrepHits, s.PrepMisses)
+	// One prep serves both simulations; the result hit never asks for it.
+	if s.PrepMisses != 1 || s.PrepHits != 1 {
+		t.Errorf("prep stats = %d hits / %d misses, want 1/1", s.PrepHits, s.PrepMisses)
 	}
 }
 

@@ -6,19 +6,22 @@ import (
 	"errors"
 	"fmt"
 
+	"cisim/internal/ideal"
 	"cisim/internal/ooo"
 	"cisim/internal/store"
 	"cisim/internal/telemetry"
 )
 
 // Persistent backend (internal/store) integration. With a store
-// attached (SetStore), the cache is write-through for detailed
-// simulation results — the artifact kind that dominates cold-run time:
+// attached (SetStore), the cache is write-through for the two artifact
+// kinds that dominate run time: detailed simulation results and
+// ideal-model grids.
 //
 //	memory hit  → served as before, the store never consulted;
 //	memory miss → the store is consulted; a verified disk blob decodes
-//	              straight into the entry (store_hit), otherwise the
-//	              artifact is computed and written through (store_put);
+//	              straight into the entry (store_hit) and counts as a
+//	              hit for the caller, otherwise the artifact is computed
+//	              and written through (store_put);
 //	corruption  → a blob failing its checksum, failing to decode, or
 //	              decoding to a value whose Fingerprint disagrees with
 //	              the one recorded at put time is quarantined
@@ -34,8 +37,14 @@ import (
 //
 // Programs, traces and preps are deliberately not persisted: traces and
 // preps carry cyclic graph pointers and unexported state that do not
-// round-trip a codec, and all three are cheap to rebuild relative to
-// detailed simulation (BENCH_5: ~7ms a trace vs ~87ms a detailed run).
+// round-trip a codec, and all three are cheap to rebuild. Measured by
+// perfbench's sweep-cold ledger on a 2-vCPU Xeon (go1.24.0), at quick
+// scale: a trace costs about 5 ms to generate and an ooo prep about
+// 2 ms, against about 36 ms for one detailed simulation and about
+// 165 ms for one workload's Figure 3 grid (18 scheduler runs). A grid is
+// one blob, not one per point: each store put costs 2-3 ms, mostly
+// fsyncs, and per-point blobs would make a cold sweep write 90 ideal
+// blobs instead of 5.
 
 // SetStore attaches (or, with nil, detaches) a persistent artifact
 // store behind the cache.
@@ -55,7 +64,7 @@ func (c *Cache) Store() *store.Store {
 // diskFor returns the store to consult for an artifact kind, nil when
 // the kind is memory-only or no store is attached.
 func (c *Cache) diskFor(kind string) *store.Store {
-	if kind != KindResult {
+	if kind != KindResult && kind != KindIdeal {
 		return nil
 	}
 	return c.Store()
@@ -64,14 +73,16 @@ func (c *Cache) diskFor(kind string) *store.Store {
 // throughDisk interposes the persistent store on a memory miss. It
 // preserves compute's contract exactly — same value type, same errors —
 // so getDepth's fingerprinting, corruption faulting and heal logic
-// apply unchanged to disk-served values.
-func (c *Cache) throughDisk(kind, key, address string, compute func() (interface{}, error)) (interface{}, error) {
+// apply unchanged to disk-served values. The bool reports that the
+// value was read from the store rather than computed.
+func (c *Cache) throughDisk(kind, key, address string, compute func() (interface{}, error)) (interface{}, bool, error) {
 	d := c.diskFor(kind)
 	if d == nil {
-		return compute()
+		v, err := compute()
+		return v, false, err
 	}
 	if v, ok := c.diskGet(d, kind, key, address); ok {
-		return v, nil
+		return v, true, nil
 	}
 	lockSp := telemetry.StartSpan("store:lock_wait")
 	if lockSp != nil {
@@ -89,21 +100,17 @@ func (c *Cache) throughDisk(kind, key, address string, compute func() (interface
 		// Get — a read-pin through a second descriptor would block on
 		// our own exclusive hold.
 		if v, ok := c.diskGetLocked(d, kind, key, address); ok {
-			return v, nil
+			return v, true, nil
 		}
-		v, err := compute()
-		if err == nil {
-			c.diskPut(d, kind, key, address, v)
-		}
-		return v, err
 	}
-	// No lock: compute without cross-process dedup (correct, possibly
-	// duplicated) and still write through for future readers.
+	// Without the lock this computes without cross-process dedup
+	// (correct, possibly duplicated) and still writes through for
+	// future readers.
 	v, err := compute()
 	if err == nil {
 		c.diskPut(d, kind, key, address, v)
 	}
-	return v, err
+	return v, false, err
 }
 
 // diskGet fetches and fully verifies one artifact from the store:
@@ -239,17 +246,23 @@ func (c *Cache) storeCountQuarantine() {
 	c.mu.Unlock()
 }
 
-// encodeArtifact serializes an artifact for the store. Only result
-// blobs are persisted (see the package comment above); the codec is gob
-// — self-describing, dependency-free, and ooo.Result is all exported
-// concrete data.
+// encodeArtifact serializes an artifact for the store. Only result and
+// ideal-grid blobs are persisted (see the package comment above); the
+// codec is gob — self-describing, dependency-free, and ooo.Result and
+// ideal.Grid are all exported concrete data.
 func encodeArtifact(kind string, v interface{}) ([]byte, error) {
-	r, ok := v.(*ooo.Result)
-	if !ok || kind != KindResult {
+	var ok bool
+	switch kind {
+	case KindResult:
+		_, ok = v.(*ooo.Result)
+	case KindIdeal:
+		_, ok = v.(ideal.Grid)
+	}
+	if !ok {
 		return nil, fmt.Errorf("runner: kind %s is not persistable", kind)
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -257,12 +270,20 @@ func encodeArtifact(kind string, v interface{}) ([]byte, error) {
 
 // decodeArtifact is encodeArtifact's inverse.
 func decodeArtifact(kind string, payload []byte) (interface{}, error) {
-	if kind != KindResult {
-		return nil, fmt.Errorf("runner: kind %s is not persistable", kind)
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	switch kind {
+	case KindResult:
+		var r ooo.Result
+		if err := dec.Decode(&r); err != nil {
+			return nil, err
+		}
+		return &r, nil
+	case KindIdeal:
+		var g ideal.Grid
+		if err := dec.Decode(&g); err != nil {
+			return nil, err
+		}
+		return g, nil
 	}
-	var r ooo.Result
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	return nil, fmt.Errorf("runner: kind %s is not persistable", kind)
 }

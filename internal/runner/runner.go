@@ -407,6 +407,7 @@ func (s Summary) Table() *stats.Table {
 	t.AddRow("  traces", fmt.Sprintf("%d / %d", c.TraceHits, c.TraceMisses))
 	t.AddRow("  sim preps", fmt.Sprintf("%d / %d", c.PrepHits, c.PrepMisses))
 	t.AddRow("  detailed results", fmt.Sprintf("%d / %d", c.ResultHits, c.ResultMisses))
+	t.AddRow("  ideal grids", fmt.Sprintf("%d / %d", c.IdealHits, c.IdealMisses))
 	t.AddRow("cache hit rate", stats.Percent(100*c.HitRate()))
 	if c.Healed > 0 {
 		t.AddRow("cache corruptions healed", int(c.Healed))

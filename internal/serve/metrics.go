@@ -99,8 +99,8 @@ func (s *Server) countStatus(want api.Status) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, id := range s.order {
-		if s.jobs[id].status == want {
+	for _, j := range s.jobs {
+		if j.status == want {
 			n++
 		}
 	}

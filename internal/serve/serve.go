@@ -12,10 +12,12 @@
 //	GET    /v1/sweeps             list jobs in submission order (api.JobList)
 //	GET    /v1/sweeps/{id}        one job's api.JobInfo
 //	GET    /v1/sweeps/{id}/result result JSON, byte-identical to
-//	                              `cisim run -json` for the same request
+//	                              `cisim run -json` for the same request;
+//	                              410 once the sweep is compacted
 //	GET    /v1/sweeps/{id}/events live run-event stream: chunked JSONL by
 //	                              default, SSE under Accept: text/event-stream;
-//	                              late subscribers replay from the first event
+//	                              late subscribers replay from the first event;
+//	                              410 once the sweep is compacted
 //	DELETE /v1/sweeps/{id}        cancel: queued jobs finish instantly,
 //	                              running jobs drain in-flight work
 //	GET    /healthz               api.Health (serving/draining + job counts)
@@ -28,6 +30,13 @@
 // boundary: when it is full the daemon says so immediately with 429 and
 // a Retry-After hint instead of absorbing unbounded work.
 //
+// Retention is bounded: the newest retainSweeps terminal sweeps keep
+// their full record (results and event log). Older ones are compacted to
+// a tombstone — the final JobInfo plus the span records — so status,
+// listings, /healthz counts and /spans keep answering for every sweep
+// while the daemon's heap stays flat over an unbounded stream of
+// requests.
+//
 // Shutdown is the SIGINT drain path one level up: queued sweeps are
 // cancelled, the running sweep's context is cancelled so the pool stops
 // dispatching and drains in-flight jobs (journaling them as usual), and
@@ -36,6 +45,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -81,6 +91,10 @@ type Config struct {
 const DefaultQueue = 8
 
 const (
+	// retainSweeps is how many terminal sweeps keep their full record;
+	// older ones are compacted to a tombstone. At about 15 KB a sweep
+	// the full records stay under 4 MB.
+	retainSweeps = 256
 	// retryAfterSec is the Retry-After hint on a 429: one quick sweep is
 	// typically a few seconds, so "try again shortly" is honest without
 	// modeling queue drain rates.
@@ -112,8 +126,16 @@ type job struct {
 	results   []exp.JSONResult   // guarded by Server.mu; set once done
 	elapsedMs float64            // guarded by Server.mu
 	instrs    uint64             // guarded by Server.mu
-	spans     []telemetry.Record // guarded by Server.mu; set once terminal
+	spans     []byte             // guarded by Server.mu; span records as JSONL, set once terminal
 	done      chan struct{}      // closed (under mu) on reaching a terminal status; receives need no lock
+}
+
+// tombstone is what is left of a compacted sweep: its final status
+// snapshot and its span records. The results and the event log are
+// dropped.
+type tombstone struct {
+	info  api.JobInfo
+	spans []byte // JSONL
 }
 
 // Server is the daemon: an http.Handler plus the dispatcher that
@@ -124,11 +146,13 @@ type Server struct {
 	prom *promMetrics // set once in New, before any request or sweep
 
 	mu       sync.Mutex
-	jobs     map[string]*job // guarded by mu
-	order    []string        // guarded by mu; submission order, for deterministic listings
-	queue    chan *job       // the channel itself is immutable; sends/len/cap happen under mu, receives on the dispatcher
-	nextID   int             // guarded by mu
-	draining bool            // guarded by mu
+	jobs     map[string]*job       // guarded by mu; sweeps with a full record
+	tombs    map[string]*tombstone // guarded by mu; compacted sweeps
+	finished []*job                // guarded by mu; terminal sweeps in jobs, oldest first
+	order    []string              // guarded by mu; submission order, for deterministic listings
+	queue    chan *job             // the channel itself is immutable; sends/len/cap happen under mu, receives on the dispatcher
+	nextID   int                   // guarded by mu
+	draining bool                  // guarded by mu
 
 	baseCtx        context.Context
 	cancelAll      context.CancelFunc
@@ -144,6 +168,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:            cfg,
 		jobs:           map[string]*job{},
+		tombs:          map[string]*tombstone{},
 		queue:          make(chan *job, cfg.Queue),
 		baseCtx:        ctx,
 		cancelAll:      cancel,
@@ -180,8 +205,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		for _, id := range s.order {
-			j := s.jobs[id]
-			if j.status == api.StatusQueued {
+			if j := s.jobs[id]; j != nil && j.status == api.StatusQueued {
 				s.finishLocked(j, api.StatusCancelled, "cancelled: server draining")
 			}
 		}
@@ -200,13 +224,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// finishLocked moves a job to a terminal status. Caller holds s.mu.
+// finishLocked moves a job to a terminal status, compacting the oldest
+// terminal sweep to a tombstone once more than retainSweeps keep their
+// full record. Caller holds s.mu.
 func (s *Server) finishLocked(j *job, st api.Status, errMsg string) {
 	j.status = st
 	j.err = errMsg
 	j.cancel = nil
 	j.log.Close()
 	close(j.done)
+	s.finished = append(s.finished, j)
+	if len(s.finished) > retainSweeps {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		s.tombs[old.id] = &tombstone{info: s.infoLocked(old), spans: old.spans}
+		delete(s.jobs, old.id)
+	}
 }
 
 // dispatch executes queued sweeps strictly one at a time until the
@@ -304,14 +338,15 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		root.Err = msg
 	}
 	root.End()
-	spans := col.Records()
-	s.writeSpansFile(j.id, spans)
+	var spans bytes.Buffer
+	_ = telemetry.WriteJSONL(&spans, col.Records())
+	s.writeSpansFile(j.id, spans.Bytes())
 
 	s.mu.Lock()
 	j.elapsedMs = float64(elapsed.Milliseconds())
 	j.instrs = instrs
 	j.results = results
-	j.spans = spans
+	j.spans = spans.Bytes()
 	s.finishLocked(j, final, msg)
 	s.mu.Unlock()
 
@@ -326,18 +361,13 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	}
 }
 
-// writeSpansFile persists one sweep's spans under SpansDir; failures
-// cost the artifact, never the sweep.
-func (s *Server) writeSpansFile(id string, spans []telemetry.Record) {
+// writeSpansFile persists one sweep's span JSONL under SpansDir;
+// failures cost the artifact, never the sweep.
+func (s *Server) writeSpansFile(id string, spans []byte) {
 	if s.cfg.SpansDir == "" {
 		return
 	}
-	f, err := os.Create(filepath.Join(s.cfg.SpansDir, id+".spans.jsonl"))
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	_ = telemetry.WriteJSONL(f, spans)
+	_ = os.WriteFile(filepath.Join(s.cfg.SpansDir, id+".spans.jsonl"), spans, 0o644)
 }
 
 // infoLocked snapshots a job for clients. Caller holds s.mu.
@@ -418,41 +448,67 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// lookup resolves the {id} path value; on miss it answers 404 and
-// returns nil.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
+// lookup resolves the {id} path value to a sweep with its full record
+// or, once compacted, to its tombstone; on a miss it answers 404 and
+// returns neither.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*job, *tombstone) {
+	id := r.PathValue("id")
 	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
+	j, t := s.jobs[id], s.tombs[id]
 	s.mu.Unlock()
-	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no such sweep %q", r.PathValue("id")))
+	if j == nil && t == nil {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("no such sweep %q", id))
 	}
-	return j
+	return j, t
+}
+
+// infoOfLocked snapshots the sweep id, whether compacted or not. Caller
+// holds s.mu.
+func (s *Server) infoOfLocked(id string) api.JobInfo {
+	if j := s.jobs[id]; j != nil {
+		return s.infoLocked(j)
+	}
+	return s.tombs[id].info
+}
+
+// writeGone answers 410 for a compacted sweep's dropped record, naming
+// the journal that still holds its completed jobs when there is one.
+func (s *Server) writeGone(w http.ResponseWriter, t *tombstone, what string) {
+	msg := fmt.Sprintf("sweep %s is %s and its %s was dropped: the daemon keeps the newest %d finished sweeps in full",
+		t.info.ID, t.info.Status, what, retainSweeps)
+	if s.cfg.JournalDir != "" {
+		msg += "; its completed jobs are in the journal " + filepath.Join(s.cfg.JournalDir, t.info.ID+".journal")
+	}
+	writeErr(w, http.StatusGone, errors.New(msg))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	list := api.JobList{Jobs: make([]api.JobInfo, 0, len(s.order))}
 	for _, id := range s.order {
-		list.Jobs = append(list.Jobs, s.infoLocked(s.jobs[id]))
+		list.Jobs = append(list.Jobs, s.infoOfLocked(id))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
+	j, t := s.lookup(w, r)
+	if j == nil && t == nil {
 		return
 	}
 	s.mu.Lock()
-	info := s.infoLocked(j)
+	info := s.infoOfLocked(r.PathValue("id"))
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
+	j, t := s.lookup(w, r)
+	if t != nil {
+		s.writeGone(w, t, "result")
+		return
+	}
 	if j == nil {
 		return
 	}
@@ -474,7 +530,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
+	j, t := s.lookup(w, r)
+	if t != nil {
+		// Compacted sweeps are terminal: cancelling one is a no-op.
+		writeJSON(w, http.StatusOK, t.info)
+		return
+	}
 	if j == nil {
 		return
 	}
@@ -503,8 +564,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		h.Status = "draining"
 	}
-	for _, id := range s.order {
-		switch s.jobs[id].status {
+	h.Completed = len(s.tombs)
+	for _, j := range s.jobs {
+		switch j.status {
 		case api.StatusQueued:
 			h.Queued++
 		case api.StatusRunning:
@@ -543,7 +605,11 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 // a `cisim run -events` file would hold — or SSE frames when the client
 // asks for text/event-stream.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
+	j, t := s.lookup(w, r)
+	if t != nil {
+		s.writeGone(w, t, "event log")
+		return
+	}
 	if j == nil {
 		return
 	}

@@ -4,30 +4,36 @@ package serve
 // span records as JSONL — the same lines `cisim run -spans` writes, so
 // `cisim spans` analyzes either source. Tracing is always on for daemon
 // sweeps; the records are a side channel and results stay byte-
-// identical (the determinism contract in internal/telemetry).
+// identical (the determinism contract in internal/telemetry). The
+// records outlive a sweep's compaction to a tombstone.
 
 import (
 	"fmt"
 	"net/http"
 
-	"cisim/internal/telemetry"
+	"cisim/internal/api"
 )
 
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
+	j, t := s.lookup(w, r)
+	var st api.Status
+	var spans []byte
+	switch {
+	case t != nil:
+		st, spans = t.info.Status, t.spans
+	case j != nil:
+		s.mu.Lock()
+		st, spans = j.status, j.spans
+		s.mu.Unlock()
+	default:
 		return
 	}
-	s.mu.Lock()
-	st := j.status
-	spans := j.spans
-	s.mu.Unlock()
 	if !st.Terminal() {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSec))
-		writeErr(w, http.StatusConflict, fmt.Errorf("sweep %s is %s; spans are available once it is terminal", j.id, st))
+		writeErr(w, http.StatusConflict, fmt.Errorf("sweep %s is %s; spans are available once it is terminal", r.PathValue("id"), st))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	_ = telemetry.WriteJSONL(w, spans)
+	_, _ = w.Write(spans)
 }

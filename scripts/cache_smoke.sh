@@ -10,11 +10,13 @@
 #      and print baseline-identical JSON
 #   3. run a third, warm process over the same directory with span
 #      tracing on (-spans): JSON still byte-identical — tracing is a
-#      side channel — and the run must finish in under half the
-#      storeless baseline's wall time (the whole point of the store)
+#      side channel — and the run must finish in under a quarter of
+#      the storeless baseline's wall time (the whole point of the store:
+#      detailed results and fig3's ideal grids both come from disk)
 #   4. `cisim cache verify` must find nothing to quarantine, and
-#      `cisim cache stats -json` (one flat object, asserted on below)
-#      is left as the CI artifact with the warm run's span trace
+#      `cisim cache stats -json` (one flat object, asserted on below:
+#      one ideal grid per workload, so "entries_ideal": 5) is left as
+#      the CI artifact with the warm run's span trace
 #
 # Run via `make cache-smoke`. Requires only the go toolchain.
 set -eu
@@ -73,8 +75,8 @@ if ! grep -q '"name":"store:get"' artifacts/warm_run_spans.jsonl; then
     echo "cache-smoke: warm run's span trace shows no store reads" >&2
     exit 1
 fi
-if [ $((warm_ms * 2)) -ge "$base_ms" ]; then
-    echo "cache-smoke: warm run (${warm_ms}ms) not under half the baseline (${base_ms}ms)" >&2
+if [ $((warm_ms * 4)) -ge "$base_ms" ]; then
+    echo "cache-smoke: warm run (${warm_ms}ms) not under a quarter of the baseline (${base_ms}ms)" >&2
     exit 1
 fi
 
@@ -94,6 +96,10 @@ done
 entries=$(sed -n 's/^ *"entries": \([0-9][0-9]*\).*/\1/p' artifacts/cache_stats.json)
 if [ -z "$entries" ] || [ "$entries" -eq 0 ]; then
     echo "cache-smoke: store reports no entries after three runs" >&2
+    exit 1
+fi
+if ! grep -q '"entries_ideal": 5,\{0,1\}$' artifacts/cache_stats.json; then
+    echo "cache-smoke: store does not hold one ideal grid per workload (\"entries_ideal\": 5)" >&2
     exit 1
 fi
 
