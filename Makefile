@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint checkprog race faults schema serve-smoke cache-smoke metrics-smoke check bench bench-baseline benchdiff run-all profile clean
+.PHONY: all build test vet lint checkprog race fuzz faults schema serve-smoke cache-smoke metrics-smoke check bench bench-baseline benchdiff run-all profile clean
 
 # The headline benchmarks gated by BENCH_10.json (see bench-baseline and
 # benchdiff below). BenchmarkTraceGeneration's regex also matches the
@@ -23,13 +23,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's custom analyzers (internal/lint): cache-key field
-# coverage (keycover), deterministic map iteration (detrange), simulator
-# purity (simpure), stack-preserving recover sites (recoverstack),
-# hot-loop allocation hygiene (hotalloc), and the concurrency-invariant
-# passes — mutex-guarded field discipline (lockguard), global sink
-# rebinding (sinkdiscipline), goroutine termination paths (goroleak),
-# and atomic/plain access mixing (atomicmix).
+# lint runs the repo's eight custom analyzers (internal/lint): cache-key
+# field coverage (keycover), deterministic map iteration (detrange),
+# simulator purity (simpure), stack-preserving recover sites
+# (recoverstack), hot-loop allocation hygiene (hotalloc), and the
+# concurrency-invariant passes — mutex-guarded field discipline
+# (lockguard), goroutine termination paths (goroleak), and atomic/plain
+# access mixing (atomicmix).
 lint:
 	$(GO) run ./cmd/cisimlint
 
@@ -42,10 +42,17 @@ checkprog:
 # single-threaded model packages cheap (they skip their long sweeps)
 # while the concurrency-heavy packages — the worker pool, the artifact
 # cache's singleflight path, the serve daemon's dispatcher/streaming
-# machinery, and the api engine's sink window — run their full suites:
-# none of their tests consult testing.Short.
+# machinery, and the api engine's concurrent sweeps — run their full
+# suites: none of their tests consult testing.Short.
 race:
 	$(GO) test -race -short ./...
+
+# fuzz runs the traceparent parser's fuzz target — the header is the
+# client input that roots a daemon sweep's span tree — for a fixed short
+# time on top of its committed seed corpus
+# (internal/telemetry/testdata/fuzz).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/telemetry
 
 # faults drives the deterministic fault-injection matrix end to end:
 # every fault point (cache corruption, transient/permanent failures,

@@ -238,13 +238,13 @@ func cmdRun(args []string) error {
 	defer detachStore()
 	// Span tracing is a side channel with the same determinism contract
 	// as -events: run results are byte-identical with it on or off. The
-	// trace is written even when the run fails or aborts — that is when
-	// the timing evidence matters most.
+	// collector rides the sweep's ctx (below). The trace is written even
+	// when the run fails or aborts — that is when the timing evidence
+	// matters most.
+	var col *telemetry.Collector
 	if *spansPath != "" {
-		col := telemetry.NewCollector(telemetry.TraceID("cisim run", fs.Arg(0)))
-		telemetry.Enable(col)
+		col = telemetry.NewCollector(telemetry.TraceID("cisim run", fs.Arg(0)))
 		defer func() {
-			telemetry.Disable()
 			if werr := writeSpans(*spansPath, col.Records()); werr != nil {
 				fmt.Fprintf(os.Stderr, "cisim: spans write failed (run results are unaffected): %v\n", werr)
 			}
@@ -267,9 +267,6 @@ func cmdRun(args []string) error {
 			return err
 		}
 		defer f.Close()
-		// The engine binds the process-global cache sink itself for
-		// exactly the sweep's duration (and the sinkdiscipline analyzer
-		// keeps this frontend from re-binding it).
 		sink = runner.NewJSONLSink(f)
 	}
 
@@ -304,6 +301,9 @@ func cmdRun(args []string) error {
 	// managers stopping a long campaign lose nothing either.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if col != nil {
+		ctx = telemetry.WithCollector(ctx, col, "")
+	}
 
 	// The engine (shared with `cisim serve`) decomposes the sweep into
 	// (experiment, workload) jobs, replays the journal, runs the pool,
@@ -567,7 +567,7 @@ func cmdSim(args []string) error {
 	}
 	defer detachStore()
 	start := time.Now()
-	r, _, err := runner.Artifacts.Detailed(w, *iters, cfg)
+	r, _, err := runner.Artifacts.Detailed(context.Background(), w, *iters, cfg)
 	if err != nil {
 		return err
 	}

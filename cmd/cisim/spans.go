@@ -5,12 +5,14 @@ package main
 // endpoint. Where `cisim events` aggregates the event stream, this
 // command walks the span tree: what the wall clock was spent on
 // (per-stage breakdown), which chain of jobs bounded it (critical
-// path), and where time leaked into waiting (pool queue, store lock).
+// path), and where time leaked into waiting (pool queue, idle workers,
+// daemon queue, store lock).
 // -chrome re-exports the trace for chrome://tracing or Perfetto.
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -82,7 +84,8 @@ func renderSpanAnalysis(recs []telemetry.Record, top int) string {
 	byName := map[string]*nameAgg{}
 	var jobs []telemetry.Record
 	var sweep *telemetry.Record
-	var queueUs, lockWaitUs float64
+	var jobQueueUs []float64
+	var sweepQueueUs, lockWaitUs float64
 	var bytesRead, bytesWritten int64
 	var failed []telemetry.Record
 	for i := range recs {
@@ -104,9 +107,11 @@ func renderSpanAnalysis(recs []telemetry.Record, top int) string {
 			}
 		case "job":
 			jobs = append(jobs, r)
-			queueUs += r.QueueUs
+			if r.Attempt == 0 { // retries carry no queue wait
+				jobQueueUs = append(jobQueueUs, r.QueueUs)
+			}
 		case "serve:sweep", "client:sweep":
-			queueUs += r.QueueUs
+			sweepQueueUs += r.QueueUs
 		case "store:lock_wait":
 			lockWaitUs += r.DurUs
 		case "store:get":
@@ -132,8 +137,19 @@ func renderSpanAnalysis(recs []telemetry.Record, top int) string {
 	ot.AddRow("span records", len(recs))
 	ot.AddRow("critical-path total (ms)", wallUs/1e3)
 	ot.AddRow("job spans", len(jobs))
-	if queueUs > 0 {
-		ot.AddRow("queue wait total (ms)", queueUs/1e3)
+	// A job's queue wait runs from pool start to its first attempt, so
+	// the waits of one sweep overlap and only their distribution means
+	// anything; idle worker time is the additive figure.
+	if len(jobQueueUs) > 0 {
+		sort.Float64s(jobQueueUs)
+		ot.AddRow("job queue wait p50 (ms)", percentile(jobQueueUs, 50)/1e3)
+		ot.AddRow("job queue wait p99 (ms)", percentile(jobQueueUs, 99)/1e3)
+	}
+	if sweep != nil && len(jobs) > 0 {
+		ot.AddRow("worker idle (ms)", workerIdleUs(recs, jobs)/1e3)
+	}
+	if sweepQueueUs > 0 {
+		ot.AddRow("sweep queue wait (ms)", sweepQueueUs/1e3)
 	}
 	if lockWaitUs > 0 {
 		ot.AddRow("store lock wait total (ms)", lockWaitUs/1e3)
@@ -222,6 +238,37 @@ func renderSpanAnalysis(recs []telemetry.Record, top int) string {
 		out += ft.String() + "\n"
 	}
 	return out
+}
+
+// percentile returns the nearest-rank p-th percentile of sorted values.
+func percentile(sorted []float64, p float64) float64 {
+	i := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	return sorted[i]
+}
+
+// workerIdleUs is the pool capacity the jobs left unused: summed over
+// sweep spans, the distinct workers that ran the sweep's jobs times the
+// sweep's duration, minus those jobs' summed durations.
+func workerIdleUs(recs, jobs []telemetry.Record) float64 {
+	workers := map[string]map[int]bool{}
+	busyUs := map[string]float64{}
+	for _, j := range jobs {
+		if workers[j.Parent] == nil {
+			workers[j.Parent] = map[int]bool{}
+		}
+		workers[j.Parent][j.Worker] = true
+		busyUs[j.Parent] += j.DurUs
+	}
+	var idleUs float64
+	for _, r := range recs {
+		if r.Name == "sweep" {
+			idleUs += float64(len(workers[r.Span]))*r.DurUs - busyUs[r.Span]
+		}
+	}
+	return idleUs
 }
 
 // spanExtentUs is the duration from the earliest span start to the

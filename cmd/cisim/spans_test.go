@@ -285,10 +285,14 @@ func TestCmdSpansAnalyzer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"span trace", "critical-path total (ms)", "time by span name",
-		"critical path through jobs", "slowest"} {
+		"critical path through jobs", "slowest", "job queue wait p50 (ms)", "job queue wait p99 (ms)",
+		"worker idle (ms)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("spans output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "queue wait total") {
+		t.Errorf("spans output still sums overlapping queue waits:\n%s", out)
 	}
 
 	data, err := os.ReadFile(chrome)
@@ -334,6 +338,42 @@ func TestCmdSpansAnalyzer(t *testing.T) {
 	}
 	if metas == 0 || completes == 0 {
 		t.Errorf("chrome export has %d meta and %d complete events", metas, completes)
+	}
+}
+
+// TestSpanAnalysisQueueAndIdle pins the waiting figures on a
+// hand-built trace: two sweeps, one daemon-queued, with jobs on two and
+// one workers. Queue waits report as a distribution (they overlap), and
+// worker idle is per sweep: workers × duration − busy time.
+func TestSpanAnalysisQueueAndIdle(t *testing.T) {
+	recs := []telemetry.Record{
+		{Trace: "t", Span: "a", Name: "serve:sweep", DurUs: 12000, QueueUs: 3000},
+		{Trace: "t", Span: "s1", Parent: "a", Name: "sweep", DurUs: 10000},
+		{Trace: "t", Span: "j1", Parent: "s1", Name: "job", DurUs: 6000, Worker: 1},
+		{Trace: "t", Span: "j2", Parent: "s1", Name: "job", DurUs: 3000, Worker: 2, QueueUs: 1000},
+		{Trace: "t", Span: "j3", Parent: "s1", Name: "job", DurUs: 4000, Worker: 2, QueueUs: 4000},
+		{Trace: "t", Span: "j4", Parent: "s1", Name: "job", DurUs: 2000, Worker: 1, QueueUs: 9000, Attempt: 2},
+		{Trace: "t", Span: "s2", Name: "sweep", DurUs: 5000},
+		{Trace: "t", Span: "j5", Parent: "s2", Name: "job", DurUs: 4000, Worker: 1, QueueUs: 2000},
+	}
+	out := renderSpanAnalysis(recs, 0)
+	// First attempts wait 0, 1, 4 and 2 ms: p50 1 ms, p99 4 ms; the
+	// retry's 9 ms is not a queue wait. Idle: 2×10 − 15 + 1×5 − 4 = 6 ms.
+	rows := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if i := strings.LastIndex(line, " "); i > 0 {
+			rows[strings.TrimSpace(line[:i])] = line[i+1:]
+		}
+	}
+	for label, want := range map[string]string{
+		"job queue wait p50 (ms)": "1.00",
+		"job queue wait p99 (ms)": "4.00",
+		"worker idle (ms)":        "6.00",
+		"sweep queue wait (ms)":   "3.00",
+	} {
+		if rows[label] != want {
+			t.Errorf("%s = %q, want %s:\n%s", label, rows[label], want, out)
+		}
 	}
 }
 

@@ -25,11 +25,9 @@ import (
 // replayed from a prior journal, and a hook for journal-write failures.
 type RunOptions struct {
 	// Sink, when non-nil, receives the full run-event stream
-	// (run_start, job_*, cache, metrics, run_end). The artifact cache is
-	// pointed at it for the duration of the sweep; sweeps sharing the
-	// process must therefore execute one at a time, which both frontends
-	// guarantee (the CLI by construction, the daemon by its serial
-	// dispatcher).
+	// (run_start, job_*, cache, metrics, run_end). It rides the sweep's
+	// context down to the pool and the artifact cache, so it sees this
+	// sweep's events only, whatever else runs in the process.
 	Sink runner.Sink
 	// Journal, when non-nil, records each completed job fsync'd, so an
 	// interrupted sweep resumes instead of recomputing.
@@ -60,8 +58,11 @@ type Outcome struct {
 // in-flight jobs drained and the rest skipped).
 type Output struct {
 	Outcomes []Outcome
-	Summary  runner.Summary
-	Aborted  bool
+	// Summary's cache and store counts are the shared artifact cache's
+	// delta over the sweep: a lookup made by another sweep running at
+	// the same time lands in them too.
+	Summary runner.Summary
+	Aborted bool
 }
 
 // JSONResults converts the healthy outcomes to the machine-readable
@@ -81,11 +82,13 @@ func (o *Output) JSONResults() []exp.JSONResult {
 }
 
 // Run executes a validated sweep request to completion under ctx.
-// Cancelling ctx is the graceful-drain path: the pool stops dispatching,
-// in-flight jobs complete (and are journaled), the remainder is skipped,
-// and Output.Aborted is set. The returned error covers request
-// validation only; execution failures ride in the outcomes so one broken
-// experiment cannot hide the others.
+// The sweep span starts under ctx's span (telemetry.WithCollector);
+// when ctx carries no collector, Run adopts the process-global one
+// (telemetry.Adopt). Cancelling ctx is the graceful-drain path: the
+// pool stops dispatching, in-flight jobs complete (and are journaled),
+// the remainder is skipped, and Output.Aborted is set. The returned
+// error covers request validation only; execution failures ride in the
+// outcomes so one broken experiment cannot hide the others.
 func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -131,7 +134,7 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 			e, w := e, w
 			jobList = append(jobList, runner.Job{Exp: e.ID, Key: w.Name,
 				Run: func(ctx context.Context) (interface{}, uint64, error) {
-					p, err := e.RunWorkload(w, opt)
+					p, err := e.RunWorkload(ctx, w, opt)
 					var instrs uint64
 					if p != nil {
 						instrs = p.Instrs
@@ -153,11 +156,8 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 		}
 	}
 
-	if opts.Sink != nil {
-		runner.Artifacts.SetSink(opts.Sink)
-		defer runner.Artifacts.SetSink(nil)
-	}
-	pool := &runner.Pool{Workers: req.Jobs, Events: opts.Sink, Timeout: req.Timeout(), Retries: req.Retries}
+	ctx = runner.WithSink(telemetry.Adopt(ctx), opts.Sink)
+	pool := &runner.Pool{Workers: req.Jobs, Timeout: req.Timeout(), Retries: req.Retries}
 	nw := pool.NumWorkers(len(jobList))
 	statsBefore := runner.Artifacts.Stats()
 	if opts.Sink != nil {
@@ -168,17 +168,11 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 	}
 	// The sweep span brackets exactly the pool interval the footer's
 	// wall-clock row reports, so `cisim spans` critical-path totals are
-	// comparable to the run summary. It is also the root fallback for
-	// fresh pool-worker goroutines (job spans) for that same window.
-	sweepSp := telemetry.StartSpan("sweep")
-	unroot := func() {}
-	unbind := func() {}
-	if sweepSp != nil {
-		unroot = telemetry.Current().SetRoot(sweepSp)
-		unbind = sweepSp.Bind()
-	}
+	// comparable to the run summary. Its ctx parents the job and merge
+	// spans.
+	sweepSp, sctx := telemetry.Start(ctx, "sweep")
 	start := time.Now()
-	results := pool.RunContext(ctx, jobList)
+	results := pool.RunContext(sctx, jobList)
 	wall := time.Since(start)
 	if sweepSp != nil && ctx.Err() != nil {
 		sweepSp.Err = ctx.Err().Error()
@@ -223,7 +217,7 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 			// Merges run after the pool interval; their spans parent to
 			// the (ended) sweep span, which is fine — parentage is
 			// logical, not lifetime-nested.
-			mergeSp := telemetry.StartSpan("merge")
+			mergeSp, _ := telemetry.Start(sctx, "merge")
 			if mergeSp != nil {
 				mergeSp.Exp = e.ID
 			}
@@ -255,7 +249,5 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 	if opts.Sink != nil {
 		opts.Sink.Emit(sum.RunEndEvent())
 	}
-	unbind()
-	unroot()
 	return &Output{Outcomes: outcomes, Summary: sum, Aborted: aborted}, nil
 }

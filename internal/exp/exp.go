@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -168,9 +169,11 @@ type Partial struct {
 
 // wctx is the per-workload execution context handed to an experiment's
 // workload function. Its accessors route every program, trace, and
-// detailed-simulation request through the shared artifact cache and
-// accumulate the workload's Partial.
+// detailed-simulation request through the shared artifact cache, on
+// behalf of ctx (the job's event sink and span), and accumulate the
+// workload's Partial.
 type wctx struct {
+	ctx  context.Context
 	w    *workloads.Workload
 	o    Options
 	part *Partial
@@ -189,13 +192,13 @@ func (c *wctx) plot(p Plot) { c.part.Plots = append(c.part.Plots, p) }
 
 // program returns the workload's assembled program at the current scale.
 func (c *wctx) program() (*prog.Program, error) {
-	return programFor(c.w, c.o)
+	return programFor(c.ctx, c.w, c.o)
 }
 
 // trace returns the workload's annotated trace at the current scale,
 // counting its generation cost once per cache fill.
 func (c *wctx) trace() (*trace.Trace, error) {
-	tr, hit, err := traceFor(c.w, c.o)
+	tr, hit, err := traceFor(c.ctx, c.w, c.o)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +215,7 @@ func (c *wctx) trace() (*trace.Trace, error) {
 // the artifact cache.
 func (c *wctx) detailed(cfg ooo.Config) (*ooo.Result, error) {
 	cfg.CollectMetrics = c.o.Metrics
-	r, hit, err := runner.Artifacts.Detailed(c.w, c.o.iters(c.w), cfg)
+	r, hit, err := runner.Artifacts.Detailed(c.ctx, c.w, c.o.iters(c.w), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -236,16 +239,17 @@ func (c *wctx) detailed(cfg ooo.Config) (*ooo.Result, error) {
 // call actually did — trace generation and the scheduled instructions —
 // is charged to the Partial.
 func (c *wctx) ideal(cfgs []ideal.Config) ([]ideal.Result, error) {
-	g, instrs, err := runner.Artifacts.Ideal(c.w, c.o.iters(c.w),
+	g, instrs, err := runner.Artifacts.Ideal(c.ctx, c.w, c.o.iters(c.w),
 		trace.Options{MaxInstrs: c.o.maxTraceInstrs()}, cfgs)
 	c.part.Instrs += instrs
 	return g, err
 }
 
 // RunWorkload computes one workload's partial result — the unit of work
-// the parallel runner schedules.
-func (e *Experiment) RunWorkload(w *workloads.Workload, o Options) (*Partial, error) {
-	c := &wctx{w: w, o: o, part: &Partial{}}
+// the parallel runner schedules. ctx carries the job's event sink and
+// span down to the artifact cache; it never enters a cache key.
+func (e *Experiment) RunWorkload(ctx context.Context, w *workloads.Workload, o Options) (*Partial, error) {
+	c := &wctx{ctx: ctx, w: w, o: o, part: &Partial{}}
 	if err := e.workload(c); err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", e.ID, w.Name, err)
 	}
@@ -290,7 +294,7 @@ func (e *Experiment) Run(o Options) (*Result, error) {
 	ws := workloads.All()
 	parts := make([]*Partial, len(ws))
 	for i, w := range ws {
-		p, err := e.RunWorkload(w, o)
+		p, err := e.RunWorkload(context.Background(), w, o)
 		if err != nil {
 			return nil, err
 		}
@@ -373,15 +377,15 @@ func IDs() []string {
 // scale, memoized in the shared artifact cache: a second call with the
 // same (workload, iters, trace options) key returns the cached trace
 // without regeneration. The bool reports a cache hit.
-func traceFor(w *workloads.Workload, o Options) (*trace.Trace, bool, error) {
-	return runner.Artifacts.Trace(w, o.iters(w),
+func traceFor(ctx context.Context, w *workloads.Workload, o Options) (*trace.Trace, bool, error) {
+	return runner.Artifacts.Trace(ctx, w, o.iters(w),
 		trace.Options{MaxInstrs: o.maxTraceInstrs()})
 }
 
 // programFor assembles a workload at the chosen scale, memoized in the
 // shared artifact cache.
-func programFor(w *workloads.Workload, o Options) (*prog.Program, error) {
-	p, _, err := runner.Artifacts.Program(w, o.iters(w))
+func programFor(ctx context.Context, w *workloads.Workload, o Options) (*prog.Program, error) {
+	p, _, err := runner.Artifacts.Program(ctx, w, o.iters(w))
 	return p, err
 }
 

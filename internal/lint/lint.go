@@ -29,9 +29,6 @@
 //	               be accessed in scopes that hold that mutex (serve's
 //	               Server/job, the artifact cache, the journal, the
 //	               faults registry)
-//	sinkdiscipline process-global sink mutators (runner.Cache.SetSink)
-//	               may only be called by the serial sweep engine
-//	               (internal/api, internal/serve)
 //	goroleak       go statements in model/service packages need a
 //	               visible termination path, so goroutines cannot
 //	               outlive a serve drain
@@ -109,7 +106,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		KeyCover, DetRange, SimPure, RecoverStack, HotAlloc,
-		LockGuard, SinkDiscipline, GoroLeak, AtomicMix,
+		LockGuard, GoroLeak, AtomicMix,
 	}
 }
 

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -84,11 +85,14 @@ func stageSpanName(kind string) string {
 // a second consecutive corruption of the same address is reported as an
 // error rather than retried forever. Failed computations are never
 // memoized, so a transient failure can be retried.
+//
+// Every lookup takes the caller's ctx: its sink (WithSink) receives the
+// lookup's events and its span (telemetry.Start) parents the lookup's
+// stage and store spans. The ctx is never part of an address.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*entry     // guarded by mu
 	stats   map[string]*kindStats // guarded by mu; by kind
-	sink    Sink                  // guarded by mu
 	// disk is the optional persistent backend (SetStore); result-kind
 	// misses read through it and successful computes write through.
 	disk  *storage.Store // guarded by mu
@@ -201,14 +205,6 @@ func NewCache() *Cache {
 // through it, so one `run all` assembles and traces each workload once.
 var Artifacts = NewCache()
 
-// SetSink attaches an event sink that observes every lookup (hit and
-// miss). Pass nil to detach.
-func (c *Cache) SetSink(s Sink) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sink = s
-}
-
 // Reset drops every cached artifact and zeroes the statistics. Intended
 // for benchmarks measuring cold-cache behaviour; it must not race with
 // in-flight lookups.
@@ -274,11 +270,14 @@ func Address(parts ...string) string { return addr(parts...) }
 //     a retried job) recomputes instead of replaying the failure;
 //   - values are verified: a hit whose artifact fails its checksum is
 //     quarantined and recomputed once (see Cache doc).
-func (c *Cache) get(kind, key, address string, compute func() (interface{}, error)) (interface{}, bool, error) {
-	return c.getDepth(kind, key, address, compute, 0)
+//
+// compute receives a ctx carrying the lookup's stage span, so lookups it
+// makes in turn nest under that stage.
+func (c *Cache) get(ctx context.Context, kind, key, address string, compute func(context.Context) (interface{}, error)) (interface{}, bool, error) {
+	return c.getDepth(ctx, kind, key, address, compute, 0)
 }
 
-func (c *Cache) getDepth(kind, key, address string, compute func() (interface{}, error), depth int) (interface{}, bool, error) {
+func (c *Cache) getDepth(ctx context.Context, kind, key, address string, compute func(context.Context) (interface{}, error), depth int) (interface{}, bool, error) {
 	c.mu.Lock()
 	st := c.stats[kind]
 	if st == nil {
@@ -287,13 +286,12 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 	}
 	if e, ok := c.entries[address]; ok {
 		st.hits++
-		sink := c.sink
 		c.mu.Unlock()
-		emit(sink, Event{Ev: "cache", Kind: kind, Key: key, Addr: address, Hit: boolp(true)})
+		emit(ctx, Event{Ev: "cache", Kind: kind, Key: key, Addr: address, Hit: boolp(true)})
 		<-e.ready
 		if e.err == nil && e.summed {
 			if sum, _ := fingerprint(e.val); sum != e.sum {
-				return c.heal(kind, key, address, compute, depth, e, st)
+				return c.heal(ctx, kind, key, address, compute, depth, e, st)
 			}
 		}
 		return e.val, true, e.err
@@ -302,9 +300,8 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 	var fromDisk bool
 	c.entries[address] = e
 	st.misses++
-	sink := c.sink
 	c.mu.Unlock()
-	emit(sink, Event{Ev: "cache", Kind: kind, Key: key, Addr: address, Hit: boolp(false)})
+	emit(ctx, Event{Ev: "cache", Kind: kind, Key: key, Addr: address, Hit: boolp(false)})
 
 	defer func() {
 		if e.err != nil {
@@ -319,19 +316,18 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 	}()
 	func() {
 		// The stage span brackets the whole miss path — store lookup
-		// included — and binds this goroutine so store spans nest under
-		// it. Only the computing goroutine pays it; singleflight waiters
-		// attribute the wait to their own job span.
+		// included — and its ctx parents the store spans and compute's
+		// own lookups. Only the computing goroutine pays it; singleflight
+		// waiters attribute the wait to their own job span.
 		var sp *telemetry.Span
+		sctx := ctx
 		if name := stageSpanName(kind); name != "" {
-			sp = telemetry.StartSpan(name)
+			sp, sctx = telemetry.Start(ctx, name)
 		}
 		if sp != nil {
 			sp.Kind, sp.Key, sp.Addr = kind, key, address
 		}
-		unbind := sp.Bind()
 		defer func() {
-			unbind()
 			if sp != nil && e.err != nil {
 				sp.Err = e.err.Error()
 			}
@@ -347,7 +343,7 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 		}()
 		// throughDisk consults the persistent store (when one is attached
 		// and the kind persists) before falling back to compute.
-		e.val, fromDisk, e.err = c.throughDisk(kind, key, address, compute)
+		e.val, fromDisk, e.err = c.throughDisk(sctx, kind, key, address, compute)
 	}()
 	if e.err == nil {
 		e.sum, e.summed = fingerprint(e.val)
@@ -372,7 +368,7 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 // heal quarantines a corrupt entry and recomputes it once. Concurrent
 // detectors race to evict; exactly one counts the corruption, and all of
 // them converge on the recomputation's singleflight entry.
-func (c *Cache) heal(kind, key, address string, compute func() (interface{}, error), depth int, bad *entry, st *kindStats) (interface{}, bool, error) {
+func (c *Cache) heal(ctx context.Context, kind, key, address string, compute func(context.Context) (interface{}, error), depth int, bad *entry, st *kindStats) (interface{}, bool, error) {
 	if depth >= 1 {
 		return nil, false, fmt.Errorf("runner: %s %s (%s): artifact failed its checksum again after recomputation", kind, key, address)
 	}
@@ -381,19 +377,18 @@ func (c *Cache) heal(kind, key, address string, compute func() (interface{}, err
 		delete(c.entries, address)
 		st.healed++
 	}
-	sink := c.sink
 	c.mu.Unlock()
-	emit(sink, Event{Ev: "cache_corrupt", Kind: kind, Key: key, Addr: address})
-	return c.getDepth(kind, key, address, compute, depth+1)
+	emit(ctx, Event{Ev: "cache_corrupt", Kind: kind, Key: key, Addr: address})
+	return c.getDepth(ctx, kind, key, address, compute, depth+1)
 }
 
 // Program returns the assembled program for a workload at an iteration
 // count, addressed by the hash of the generated assembly source. The
 // bool reports a cache hit.
-func (c *Cache) Program(w *workloads.Workload, iters int) (*prog.Program, bool, error) {
+func (c *Cache) Program(ctx context.Context, w *workloads.Workload, iters int) (*prog.Program, bool, error) {
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d", w.Name, iters)
-	v, hit, err := c.get(KindProgram, key, addr(KindProgram, src), func() (interface{}, error) {
+	v, hit, err := c.get(ctx, KindProgram, key, addr(KindProgram, src), func(context.Context) (interface{}, error) {
 		return w.Assemble(iters)
 	})
 	if err != nil {
@@ -406,14 +401,14 @@ func (c *Cache) Program(w *workloads.Workload, iters int) (*prog.Program, bool, 
 // iteration count under the given trace options, addressed by the
 // program's content address plus the options. The bool reports a cache
 // hit.
-func (c *Cache) Trace(w *workloads.Workload, iters int, opt trace.Options) (*trace.Trace, bool, error) {
-	p, _, err := c.Program(w, iters)
+func (c *Cache) Trace(ctx context.Context, w *workloads.Workload, iters int, opt trace.Options) (*trace.Trace, bool, error) {
+	p, _, err := c.Program(ctx, w, iters)
 	if err != nil {
 		return nil, false, err
 	}
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d %+v", w.Name, iters, opt)
-	v, hit, err := c.get(KindTrace, key, addr(KindTrace, src, fmt.Sprintf("%+v", opt)), func() (interface{}, error) {
+	v, hit, err := c.get(ctx, KindTrace, key, addr(KindTrace, src, fmt.Sprintf("%+v", opt)), func(context.Context) (interface{}, error) {
 		if faults.Fire(FaultTraceBudget) {
 			// Failures are not memoized, so a retried job recomputes.
 			return nil, Transient(errors.New("faults: injected emulator step-budget exhaustion"))
@@ -432,14 +427,14 @@ func (c *Cache) Trace(w *workloads.Workload, iters int, opt trace.Options) (*tra
 // content address plus the trace options. The bool reports whether the
 // underlying trace was a cache hit, which is what the instruction
 // accounting keys on.
-func (c *Cache) idealPrep(w *workloads.Workload, iters int, opt trace.Options) (*ideal.Prep, bool, error) {
-	tr, traceHit, err := c.Trace(w, iters, opt)
+func (c *Cache) idealPrep(ctx context.Context, w *workloads.Workload, iters int, opt trace.Options) (*ideal.Prep, bool, error) {
+	tr, traceHit, err := c.Trace(ctx, w, iters, opt)
 	if err != nil {
 		return nil, traceHit, err
 	}
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d ideal %+v", w.Name, iters, opt)
-	v, _, err := c.get(KindPrep, key, addr(KindPrep, "ideal", src, fmt.Sprintf("%+v", opt)), func() (interface{}, error) {
+	v, _, err := c.get(ctx, KindPrep, key, addr(KindPrep, "ideal", src, fmt.Sprintf("%+v", opt)), func(context.Context) (interface{}, error) {
 		return ideal.Prepare(tr), nil
 	})
 	if err != nil {
@@ -459,10 +454,10 @@ func (c *Cache) idealPrep(w *workloads.Workload, iters int, opt trace.Options) (
 // plus the trace's length when this call generated it, and 0 when the
 // grid was served. A grid containing a non-memoizable configuration
 // (RecordTimes) is computed directly, uncached.
-func (c *Cache) Ideal(w *workloads.Workload, iters int, opt trace.Options, cfgs []ideal.Config) (ideal.Grid, uint64, error) {
+func (c *Cache) Ideal(ctx context.Context, w *workloads.Workload, iters int, opt trace.Options, cfgs []ideal.Config) (ideal.Grid, uint64, error) {
 	var instrs uint64
-	compute := func() (interface{}, error) {
-		pre, traceHit, err := c.idealPrep(w, iters, opt)
+	compute := func(ctx context.Context) (interface{}, error) {
+		pre, traceHit, err := c.idealPrep(ctx, w, iters, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -483,7 +478,7 @@ func (c *Cache) Ideal(w *workloads.Workload, iters int, opt trace.Options, cfgs 
 	for _, cfg := range cfgs {
 		k, memoizable := cfg.Key()
 		if !memoizable {
-			v, err := compute()
+			v, err := compute(ctx)
 			if err != nil {
 				return nil, instrs, err
 			}
@@ -492,7 +487,7 @@ func (c *Cache) Ideal(w *workloads.Workload, iters int, opt trace.Options, cfgs 
 		parts = append(parts, k)
 	}
 	key := fmt.Sprintf("%s iters=%d ideal grid of %d %+v", w.Name, iters, len(cfgs), opt)
-	v, _, err := c.get(KindIdeal, key, addr(parts...), compute)
+	v, _, err := c.get(ctx, KindIdeal, key, addr(parts...), compute)
 	if err != nil {
 		return nil, instrs, err
 	}
@@ -503,10 +498,10 @@ func (c *Cache) Ideal(w *workloads.Workload, iters int, opt trace.Options, cfgs 
 // post-dominator analysis) for a program, addressed by its content
 // address plus the instruction budget. One prep serves every detailed
 // configuration of the workload.
-func (c *Cache) prep(w *workloads.Workload, iters int, p *prog.Program, maxInstrs uint64) (*ooo.Prep, error) {
+func (c *Cache) prep(ctx context.Context, w *workloads.Workload, iters int, p *prog.Program, maxInstrs uint64) (*ooo.Prep, error) {
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d max=%d", w.Name, iters, maxInstrs)
-	v, _, err := c.get(KindPrep, key, addr(KindPrep, src, fmt.Sprint(maxInstrs)), func() (interface{}, error) {
+	v, _, err := c.get(ctx, KindPrep, key, addr(KindPrep, src, fmt.Sprint(maxInstrs)), func(context.Context) (interface{}, error) {
 		return ooo.Prepare(p, maxInstrs)
 	})
 	if err != nil {
@@ -523,13 +518,13 @@ func (c *Cache) prep(w *workloads.Workload, iters int, p *prog.Program, maxInstr
 // never builds it. Configurations carrying debug hooks are executed
 // directly — uncached, though still over the shared prep artifacts. The
 // bool reports a cache hit.
-func (c *Cache) Detailed(w *workloads.Workload, iters int, cfg ooo.Config) (*ooo.Result, bool, error) {
-	p, _, err := c.Program(w, iters)
+func (c *Cache) Detailed(ctx context.Context, w *workloads.Workload, iters int, cfg ooo.Config) (*ooo.Result, bool, error) {
+	p, _, err := c.Program(ctx, w, iters)
 	if err != nil {
 		return nil, false, err
 	}
-	run := func() (*ooo.Result, error) {
-		pre, err := c.prep(w, iters, p, cfg.MaxInstrs)
+	run := func(ctx context.Context) (*ooo.Result, error) {
+		pre, err := c.prep(ctx, w, iters, p, cfg.MaxInstrs)
 		if err != nil {
 			return nil, err
 		}
@@ -537,12 +532,12 @@ func (c *Cache) Detailed(w *workloads.Workload, iters int, cfg ooo.Config) (*ooo
 	}
 	ck, memoizable := cfg.Key()
 	if !memoizable {
-		r, err := run()
+		r, err := run(ctx)
 		return r, false, err
 	}
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d %s", w.Name, iters, cfg.Machine)
-	v, hit, err := c.get(KindResult, key, addr(KindResult, src, ck), func() (interface{}, error) { return run() })
+	v, hit, err := c.get(ctx, KindResult, key, addr(KindResult, src, ck), func(ctx context.Context) (interface{}, error) { return run(ctx) })
 	if err != nil {
 		return nil, hit, err
 	}

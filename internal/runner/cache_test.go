@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -30,14 +31,14 @@ func TestTraceMemoized(t *testing.T) {
 	w := testWorkload(t)
 	opt := trace.Options{MaxInstrs: 5_000}
 
-	tr1, hit, err := c.Trace(w, 100, opt)
+	tr1, hit, err := c.Trace(context.Background(), w, 100, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Error("first lookup reported a hit")
 	}
-	tr2, hit, err := c.Trace(w, 100, opt)
+	tr2, hit, err := c.Trace(context.Background(), w, 100, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestTraceMemoized(t *testing.T) {
 	}
 
 	// A different key must not share the entry.
-	tr3, hit, err := c.Trace(w, 100, trace.Options{MaxInstrs: 2_000})
+	tr3, hit, err := c.Trace(context.Background(), w, 100, trace.Options{MaxInstrs: 2_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,15 +66,15 @@ func TestTraceMemoized(t *testing.T) {
 func TestProgramMemoized(t *testing.T) {
 	c := NewCache()
 	w := testWorkload(t)
-	p1, hit, err := c.Program(w, 100)
+	p1, hit, err := c.Program(context.Background(), w, 100)
 	if err != nil || hit {
 		t.Fatalf("first: hit=%v err=%v", hit, err)
 	}
-	p2, hit, err := c.Program(w, 100)
+	p2, hit, err := c.Program(context.Background(), w, 100)
 	if err != nil || !hit || p2 != p1 {
 		t.Fatalf("second: hit=%v same=%v err=%v", hit, p2 == p1, err)
 	}
-	if p3, hit, _ := c.Program(w, 150); hit || p3 == p1 {
+	if p3, hit, _ := c.Program(context.Background(), w, 150); hit || p3 == p1 {
 		t.Error("different iteration count shared a program")
 	}
 }
@@ -87,13 +88,13 @@ func TestDetailedCanonicalKey(t *testing.T) {
 	w := testWorkload(t)
 	base := ooo.Config{Machine: ooo.CI, WindowSize: 64, MaxInstrs: 4_000}
 
-	r1, hit, err := c.Detailed(w, 100, base)
+	r1, hit, err := c.Detailed(context.Background(), w, 100, base)
 	if err != nil || hit {
 		t.Fatalf("first: hit=%v err=%v", hit, err)
 	}
 	spelled := base
 	spelled.SegmentSize = 1 // the default, spelled out
-	r2, hit, err := c.Detailed(w, 100, spelled)
+	r2, hit, err := c.Detailed(context.Background(), w, 100, spelled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestDetailedCanonicalKey(t *testing.T) {
 	}
 	diff := base
 	diff.SegmentSize = 4
-	if r3, hit, _ := c.Detailed(w, 100, diff); hit || r3 == r1 {
+	if r3, hit, _ := c.Detailed(context.Background(), w, 100, diff); hit || r3 == r1 {
 		t.Error("different segment size shared a result")
 	}
 	s := c.Stats()
@@ -122,11 +123,11 @@ func TestDetailedUncacheable(t *testing.T) {
 	w := testWorkload(t)
 	cfg := ooo.Config{Machine: ooo.CI, WindowSize: 64, MaxInstrs: 4_000,
 		Debug: func(string, ...interface{}) {}}
-	r1, hit, err := c.Detailed(w, 100, cfg)
+	r1, hit, err := c.Detailed(context.Background(), w, 100, cfg)
 	if err != nil || hit {
 		t.Fatalf("first: hit=%v err=%v", hit, err)
 	}
-	r2, hit, err := c.Detailed(w, 100, cfg)
+	r2, hit, err := c.Detailed(context.Background(), w, 100, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.get("kind", "k", "addr1", func() (interface{}, error) {
+			v, _, err := c.get(context.Background(), "kind", "k", "addr1", func(context.Context) (interface{}, error) {
 				computes.Add(1)
 				<-release
 				return "value", nil
@@ -183,7 +184,7 @@ func TestSingleflight(t *testing.T) {
 // is NOT memoized — a retry recomputes and can succeed.
 func TestCachePanicAndError(t *testing.T) {
 	c := NewCache()
-	_, hit, err := c.get("k", "key", "a1", func() (interface{}, error) { panic("compute exploded") })
+	_, hit, err := c.get(context.Background(), "k", "key", "a1", func(context.Context) (interface{}, error) { panic("compute exploded") })
 	if hit || err == nil || !strings.Contains(err.Error(), "compute exploded") {
 		t.Fatalf("panic not converted: hit=%v err=%v", hit, err)
 	}
@@ -192,21 +193,21 @@ func TestCachePanicAndError(t *testing.T) {
 		t.Errorf("compute panic lost its stack: %v", err)
 	}
 	// Failures are not memoized: a retry recomputes and succeeds.
-	v, hit, err := c.get("k", "key", "a1", func() (interface{}, error) { return "fine", nil })
+	v, hit, err := c.get(context.Background(), "k", "key", "a1", func(context.Context) (interface{}, error) { return "fine", nil })
 	if hit || err != nil || v != "fine" {
 		t.Errorf("retry after panic: hit=%v val=%v err=%v", hit, v, err)
 	}
 	// And the successful value is now cached.
-	if _, hit, _ := c.get("k", "key", "a1", func() (interface{}, error) { return "other", nil }); !hit {
+	if _, hit, _ := c.get(context.Background(), "k", "key", "a1", func(context.Context) (interface{}, error) { return "other", nil }); !hit {
 		t.Error("successful retry was not memoized")
 	}
 
 	want := errors.New("assembler failed")
-	_, _, err = c.get("k", "key2", "a2", func() (interface{}, error) { return nil, want })
+	_, _, err = c.get(context.Background(), "k", "key2", "a2", func(context.Context) (interface{}, error) { return nil, want })
 	if !errors.Is(err, want) {
 		t.Errorf("error not propagated: %v", err)
 	}
-	if _, hit, _ := c.get("k", "key2", "a2", func() (interface{}, error) { return "recovered", nil }); hit {
+	if _, hit, _ := c.get(context.Background(), "k", "key2", "a2", func(context.Context) (interface{}, error) { return "recovered", nil }); hit {
 		t.Error("failed compute was memoized")
 	}
 }
@@ -224,23 +225,23 @@ func TestCacheSelfHeal(t *testing.T) {
 	c := NewCache()
 	var mu sync.Mutex
 	var events []Event
-	c.SetSink(sinkFunc(func(e Event) {
+	ctx := WithSink(context.Background(), sinkFunc(func(e Event) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
 	}))
 	var computes atomic.Int32
-	compute := func() (interface{}, error) {
+	compute := func(context.Context) (interface{}, error) {
 		computes.Add(1)
 		return &fpVal{v: 7}, nil
 	}
-	v1, _, err := c.get(KindTrace, "k", "a", compute)
+	v1, _, err := c.get(ctx, KindTrace, "k", "a", compute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the stored artifact behind the cache's back.
 	v1.(*fpVal).v = 8
-	v2, hit, err := c.get(KindTrace, "k", "a", compute)
+	v2, hit, err := c.get(ctx, KindTrace, "k", "a", compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestCacheSelfHeal(t *testing.T) {
 	// every re-read. One heal is attempted; the second failure is an
 	// error, not an infinite recompute loop.
 	v2.(*fpVal).v = 9
-	_, _, err = c.get(KindTrace, "k", "a", func() (interface{}, error) { return &drifting{}, nil })
+	_, _, err = c.get(context.Background(), KindTrace, "k", "a", func(context.Context) (interface{}, error) { return &drifting{}, nil })
 	if err == nil || !strings.Contains(err.Error(), "checksum again") {
 		t.Errorf("persistent corruption not reported: %v", err)
 	}
@@ -292,15 +293,15 @@ func TestCacheCorruptFault(t *testing.T) {
 	defer faults.Clear()
 	c := NewCache()
 	var computes atomic.Int32
-	compute := func() (interface{}, error) {
+	compute := func(context.Context) (interface{}, error) {
 		computes.Add(1)
 		return &fpVal{v: 42}, nil
 	}
-	if _, _, err := c.get(KindResult, "k", "a", compute); err != nil {
+	if _, _, err := c.get(context.Background(), KindResult, "k", "a", compute); err != nil {
 		t.Fatal(err)
 	}
 	// First read after the corrupted store: detected, healed, recomputed.
-	v, _, err := c.get(KindResult, "k", "a", compute)
+	v, _, err := c.get(context.Background(), KindResult, "k", "a", compute)
 	if err != nil || v.(*fpVal).v != 42 {
 		t.Fatalf("heal failed: val=%v err=%v", v, err)
 	}
@@ -311,24 +312,25 @@ func TestCacheCorruptFault(t *testing.T) {
 		t.Errorf("healed = %d, want 1", s.Healed)
 	}
 	// The fault fired once; the healed entry now verifies clean.
-	if _, hit, _ := c.get(KindResult, "k", "a", compute); !hit || computes.Load() != 2 {
+	if _, hit, _ := c.get(context.Background(), KindResult, "k", "a", compute); !hit || computes.Load() != 2 {
 		t.Error("healed entry did not stick")
 	}
 }
 
-// TestCacheEvents: lookups emit cache events tagged hit/miss.
+// TestCacheEvents: lookups emit cache events tagged hit/miss to the
+// sink of the ctx they were made on, and to no other.
 func TestCacheEvents(t *testing.T) {
 	c := NewCache()
 	var mu sync.Mutex
 	var events []Event
-	c.SetSink(sinkFunc(func(e Event) {
+	ctx := WithSink(context.Background(), sinkFunc(func(e Event) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
 	}))
-	compute := func() (interface{}, error) { return 1, nil }
-	c.get(KindTrace, "k", "a", compute)
-	c.get(KindTrace, "k", "a", compute)
+	compute := func(context.Context) (interface{}, error) { return 1, nil }
+	c.get(ctx, KindTrace, "k", "a", compute)
+	c.get(ctx, KindTrace, "k", "a", compute)
 	if len(events) != 2 {
 		t.Fatalf("got %d events", len(events))
 	}
@@ -338,21 +340,21 @@ func TestCacheEvents(t *testing.T) {
 	if events[1].Hit == nil || !*events[1].Hit {
 		t.Errorf("second event = %+v", events[1])
 	}
-	c.SetSink(nil)
-	c.get(KindTrace, "k", "a", compute)
+	c.get(context.Background(), KindTrace, "k", "a", compute)
+	c.get(WithSink(ctx, nil), KindTrace, "k", "a", compute)
 	if len(events) != 2 {
-		t.Error("detached sink still received events")
+		t.Error("a lookup on another ctx reached the sink")
 	}
 }
 
 func TestCacheReset(t *testing.T) {
 	c := NewCache()
-	c.get("k", "k", "a", func() (interface{}, error) { return 1, nil })
+	c.get(context.Background(), "k", "k", "a", func(context.Context) (interface{}, error) { return 1, nil })
 	c.Reset()
 	if s := c.Stats(); s.Hits()+s.Misses() != 0 {
 		t.Errorf("stats survived reset: %+v", s)
 	}
-	_, hit, _ := c.get("k", "k", "a", func() (interface{}, error) { return 2, nil })
+	_, hit, _ := c.get(context.Background(), "k", "k", "a", func(context.Context) (interface{}, error) { return 2, nil })
 	if hit {
 		t.Error("entry survived reset")
 	}

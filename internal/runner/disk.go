@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -75,16 +76,16 @@ func (c *Cache) diskFor(kind string) *store.Store {
 // so getDepth's fingerprinting, corruption faulting and heal logic
 // apply unchanged to disk-served values. The bool reports that the
 // value was read from the store rather than computed.
-func (c *Cache) throughDisk(kind, key, address string, compute func() (interface{}, error)) (interface{}, bool, error) {
+func (c *Cache) throughDisk(ctx context.Context, kind, key, address string, compute func(context.Context) (interface{}, error)) (interface{}, bool, error) {
 	d := c.diskFor(kind)
 	if d == nil {
-		v, err := compute()
+		v, err := compute(ctx)
 		return v, false, err
 	}
-	if v, ok := c.diskGet(d, kind, key, address); ok {
+	if v, ok := c.diskGet(ctx, d, kind, key, address); ok {
 		return v, true, nil
 	}
-	lockSp := telemetry.StartSpan("store:lock_wait")
+	lockSp, _ := telemetry.Start(ctx, "store:lock_wait")
 	if lockSp != nil {
 		lockSp.Kind, lockSp.Key, lockSp.Addr = kind, key, address
 	}
@@ -99,16 +100,16 @@ func (c *Cache) throughDisk(kind, key, address string, compute func() (interface
 		// may have computed and stored this very entry. GetLocked, not
 		// Get — a read-pin through a second descriptor would block on
 		// our own exclusive hold.
-		if v, ok := c.diskGetLocked(d, kind, key, address); ok {
+		if v, ok := c.diskGetLocked(ctx, d, kind, key, address); ok {
 			return v, true, nil
 		}
 	}
 	// Without the lock this computes without cross-process dedup
 	// (correct, possibly duplicated) and still writes through for
 	// future readers.
-	v, err := compute()
+	v, err := compute(ctx)
 	if err == nil {
-		c.diskPut(d, kind, key, address, v)
+		c.diskPut(ctx, d, kind, key, address, v)
 	}
 	return v, false, err
 }
@@ -117,19 +118,19 @@ func (c *Cache) throughDisk(kind, key, address string, compute func() (interface
 // store-level checksums first (inside store.Get), then decode, then the
 // Fingerprinter check against the fingerprint recorded at put time.
 // Any failure quarantines the blob and reports a miss.
-func (c *Cache) diskGet(d *store.Store, kind, key, address string) (interface{}, bool) {
-	return c.diskFetch(d, kind, key, address, d.Get)
+func (c *Cache) diskGet(ctx context.Context, d *store.Store, kind, key, address string) (interface{}, bool) {
+	return c.diskFetch(ctx, d, kind, key, address, d.Get)
 }
 
 // diskGetLocked is diskGet for the singleflight winner, which already
 // holds the entry's exclusive flock.
-func (c *Cache) diskGetLocked(d *store.Store, kind, key, address string) (interface{}, bool) {
-	return c.diskFetch(d, kind, key, address, d.GetLocked)
+func (c *Cache) diskGetLocked(ctx context.Context, d *store.Store, kind, key, address string) (interface{}, bool) {
+	return c.diskFetch(ctx, d, kind, key, address, d.GetLocked)
 }
 
-func (c *Cache) diskFetch(d *store.Store, kind, key, address string,
+func (c *Cache) diskFetch(ctx context.Context, d *store.Store, kind, key, address string,
 	read func(kind, addr string) ([]byte, uint64, bool, error)) (interface{}, bool) {
-	sp := telemetry.StartSpan("store:get")
+	sp, _ := telemetry.Start(ctx, "store:get")
 	if sp != nil {
 		sp.Kind, sp.Key, sp.Addr = kind, key, address
 	}
@@ -142,7 +143,7 @@ func (c *Cache) diskFetch(d *store.Store, kind, key, address string,
 			if sp != nil {
 				sp.Err = ce.Reason
 			}
-			emit(c.sinkNow(), Event{Ev: "store_quarantine", Kind: kind, Key: key, Addr: address, Err: ce.Reason})
+			emit(ctx, Event{Ev: "store_quarantine", Kind: kind, Key: key, Addr: address, Err: ce.Reason})
 		}
 		// Read errors (permissions, transient I/O) degrade to a miss: the
 		// store is an accelerator, never a point of failure.
@@ -163,22 +164,22 @@ func (c *Cache) diskFetch(d *store.Store, kind, key, address string,
 		if sp != nil {
 			sp.Err = derr.Error()
 		}
-		emit(c.sinkNow(), Event{Ev: "store_quarantine", Kind: kind, Key: key, Addr: address, Err: derr.Error()})
+		emit(ctx, Event{Ev: "store_quarantine", Kind: kind, Key: key, Addr: address, Err: derr.Error()})
 		return nil, false
 	}
 	c.storeCountHit()
 	if sp != nil {
 		sp.Bytes = int64(len(payload))
 	}
-	emit(c.sinkNow(), Event{Ev: "store_hit", Kind: kind, Key: key, Addr: address, Bytes: int64(len(payload))})
+	emit(ctx, Event{Ev: "store_hit", Kind: kind, Key: key, Addr: address, Bytes: int64(len(payload))})
 	return v, true
 }
 
 // diskPut writes a freshly computed artifact through to the store.
 // Failures are absorbed: a store that cannot accept writes (full disk,
 // injected faults) costs future misses, not the current run.
-func (c *Cache) diskPut(d *store.Store, kind, key, address string, v interface{}) {
-	sp := telemetry.StartSpan("store:put")
+func (c *Cache) diskPut(ctx context.Context, d *store.Store, kind, key, address string, v interface{}) {
+	sp, _ := telemetry.Start(ctx, "store:put")
 	if sp != nil {
 		sp.Kind, sp.Key, sp.Addr = kind, key, address
 	}
@@ -202,19 +203,11 @@ func (c *Cache) diskPut(d *store.Store, kind, key, address string, v interface{}
 		sp.Bytes = st.Bytes
 	}
 	c.storeCountPut()
-	sink := c.sinkNow()
-	emit(sink, Event{Ev: "store_put", Kind: kind, Key: key, Addr: address, Bytes: st.Bytes})
+	emit(ctx, Event{Ev: "store_put", Kind: kind, Key: key, Addr: address, Bytes: st.Bytes})
 	for _, ev := range st.Evicted {
 		c.storeCountEviction()
-		emit(sink, Event{Ev: "store_evict", Kind: ev.Kind, Addr: ev.Addr, Bytes: ev.Bytes})
+		emit(ctx, Event{Ev: "store_evict", Kind: ev.Kind, Addr: ev.Addr, Bytes: ev.Bytes})
 	}
-}
-
-// sinkNow snapshots the current sink under the cache lock.
-func (c *Cache) sinkNow() Sink {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sink
 }
 
 // The store-layer counter bumps each take the cache lock themselves:

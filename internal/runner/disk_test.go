@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -52,7 +53,7 @@ func TestIdealGridStoreRoundTrip(t *testing.T) {
 	cfgs := gridCfgs()
 
 	cold := storeCache(st)
-	g1, n1, err := cold.Ideal(w, 100, trace.Options{}, cfgs)
+	g1, n1, err := cold.Ideal(context.Background(), w, 100, trace.Options{}, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestIdealGridStoreRoundTrip(t *testing.T) {
 	if s := cold.Stats(); s.IdealMisses != 1 || s.StorePuts != 1 || s.StoreHits != 0 {
 		t.Errorf("cold stats = %+v, want 1 ideal miss and 1 store put", s)
 	}
-	if _, n, err := cold.Ideal(w, 100, trace.Options{}, cfgs); err != nil || n != 0 {
+	if _, n, err := cold.Ideal(context.Background(), w, 100, trace.Options{}, cfgs); err != nil || n != 0 {
 		t.Errorf("memory hit: %d instructions, err %v; want 0", n, err)
 	}
 	if s := cold.Stats(); s.IdealHits != 1 {
@@ -75,7 +76,7 @@ func TestIdealGridStoreRoundTrip(t *testing.T) {
 	}
 
 	warm := storeCache(st)
-	g2, n2, err := warm.Ideal(w, 100, trace.Options{}, cfgs)
+	g2, n2, err := warm.Ideal(context.Background(), w, 100, trace.Options{}, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestIdealGridStoreRoundTrip(t *testing.T) {
 	}
 
 	// A different grid over the same trace is a different artifact.
-	if _, n, err := warm.Ideal(w, 100, trace.Options{}, cfgs[:3]); err != nil || n == 0 {
+	if _, n, err := warm.Ideal(context.Background(), w, 100, trace.Options{}, cfgs[:3]); err != nil || n == 0 {
 		t.Errorf("sub-grid was served from another grid's entry (%d instructions, err %v)", n, err)
 	}
 }
@@ -131,7 +132,7 @@ func TestIdealGridBadBlobHealed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			st := openStore(t, dir)
-			want, _, err := storeCache(st).Ideal(w, 100, trace.Options{}, cfgs)
+			want, _, err := storeCache(st).Ideal(context.Background(), w, 100, trace.Options{}, cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,12 +145,12 @@ func TestIdealGridBadBlobHealed(t *testing.T) {
 
 			c := storeCache(st)
 			quarantines := 0
-			c.SetSink(sinkFunc(func(e Event) {
+			ctx := WithSink(context.Background(), sinkFunc(func(e Event) {
 				if e.Ev == "store_quarantine" {
 					quarantines++
 				}
 			}))
-			got, n, err := c.Ideal(w, 100, trace.Options{}, cfgs)
+			got, n, err := c.Ideal(ctx, w, 100, trace.Options{}, cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func TestIdealGridBadBlobHealed(t *testing.T) {
 				t.Errorf("%d store_quarantine events, want 1", quarantines)
 			}
 
-			again, n, err := storeCache(st).Ideal(w, 100, trace.Options{}, cfgs)
+			again, n, err := storeCache(st).Ideal(context.Background(), w, 100, trace.Options{}, cfgs)
 			if err != nil || n != 0 || !reflect.DeepEqual(again, want) {
 				t.Errorf("rewritten blob did not serve the next cache (%d instructions, err %v)", n, err)
 			}
@@ -182,7 +183,7 @@ func TestIdealRecordTimesNotMemoized(t *testing.T) {
 	cfgs := []ideal.Config{{Model: ideal.WRFD, WindowSize: 32}, {Model: ideal.Base, WindowSize: 32, RecordTimes: true}}
 	var grids []ideal.Grid
 	for i := 0; i < 2; i++ {
-		g, n, err := c.Ideal(w, 100, trace.Options{}, cfgs)
+		g, n, err := c.Ideal(context.Background(), w, 100, trace.Options{}, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,12 +212,12 @@ func TestDetailedStoreHitBuildsNoPrep(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	w := testWorkload(t)
 	cfg := ooo.Config{Machine: ooo.CI, WindowSize: 64, MaxInstrs: 4_000}
-	r1, hit, err := storeCache(st).Detailed(w, 100, cfg)
+	r1, hit, err := storeCache(st).Detailed(context.Background(), w, 100, cfg)
 	if err != nil || hit {
 		t.Fatalf("cold: hit=%v err=%v", hit, err)
 	}
 	c := storeCache(st)
-	r2, hit, err := c.Detailed(w, 100, cfg)
+	r2, hit, err := c.Detailed(context.Background(), w, 100, cfg)
 	if err != nil || !hit {
 		t.Fatalf("store-served result: hit=%v err=%v, want a hit", hit, err)
 	}

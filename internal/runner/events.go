@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"sync"
@@ -124,9 +125,21 @@ type Sink interface {
 	Emit(Event)
 }
 
-// emit forwards an event to an optional sink.
-func emit(s Sink, e Event) {
-	if s != nil {
+// sinkKey keys a Sink in a context.
+type sinkKey struct{}
+
+// WithSink returns a ctx whose run events — the pool's job lifecycle
+// and the artifact cache's lookups on that ctx's behalf — go to s; a
+// nil s silences them. The sink rides the ctx rather than any shared
+// object, so concurrent sweeps over one cache each see their own
+// events.
+func WithSink(ctx context.Context, s Sink) context.Context {
+	return context.WithValue(ctx, sinkKey{}, s)
+}
+
+// emit forwards an event to ctx's sink, if it carries one.
+func emit(ctx context.Context, e Event) {
+	if s, _ := ctx.Value(sinkKey{}).(Sink); s != nil {
 		s.Emit(e)
 	}
 }

@@ -24,11 +24,9 @@
 //	GET    /version               api.VersionInfo
 //
 // Sweeps execute strictly one at a time on a single dispatcher
-// goroutine — parallelism lives inside a sweep (the runner pool), and
-// serializing sweeps keeps the process-global artifact cache's event
-// attribution unambiguous. The bounded queue is the backpressure
-// boundary: when it is full the daemon says so immediately with 429 and
-// a Retry-After hint instead of absorbing unbounded work.
+// goroutine (dispatch says why). The bounded queue is the backpressure
+// boundary: when it is full the daemon says so immediately with 429
+// and a Retry-After hint instead of absorbing unbounded work.
 //
 // Retention is bounded: the newest retainSweeps terminal sweeps keep
 // their full record (results and event log). Older ones are compacted to
@@ -244,7 +242,12 @@ func (s *Server) finishLocked(j *job, st api.Status, errMsg string) {
 }
 
 // dispatch executes queued sweeps strictly one at a time until the
-// queue is closed by Shutdown.
+// queue is closed by Shutdown. Serial is not a correctness rule — each
+// sweep's sink and span collector ride its own ctx — but it is still
+// the right policy: the runner pool inside a sweep already uses every
+// CPU, so a second sweep would only split them, and each sweep's
+// Summary reports the shared artifact cache's counter delta, which a
+// concurrent sweep would inflate.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
 	for j := range s.queue {
@@ -287,9 +290,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 
 	// Tracing is always on for daemon sweeps: one collector per sweep,
 	// rooted at a serve:sweep span that adopts the client's trace and
-	// parent when a traceparent header supplied them. Enabling the
-	// process-global collector is safe because dispatch is serial — the
-	// same discipline that keeps cache-event attribution unambiguous.
+	// parent when a traceparent header supplied them. The collector and
+	// the serve:sweep parent ride the sweep's ctx.
 	trace := j.trace
 	if trace == "" {
 		trace = telemetry.TraceID("serve", j.id)
@@ -299,15 +301,10 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	root := col.StartWith(j.parentSpan, "serve:sweep")
 	root.Key = j.id
 	root.QueueUs = telemetry.Us(queueWait)
-	unbind := root.Bind()
-	telemetry.Enable(col)
 
 	start := time.Now()
-	out, err := api.Run(ctx, &req, opts)
+	out, err := api.Run(telemetry.WithCollector(ctx, col, root.ID()), &req, opts)
 	elapsed := time.Since(start)
-
-	telemetry.Disable()
-	unbind()
 
 	// Resolve the terminal state before touching any lock, so the span
 	// can carry it and the prom observations can run unlocked after.

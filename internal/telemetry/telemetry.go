@@ -16,18 +16,22 @@
 // never absolute), so two runs of the same sweep differ only in
 // durations. Simulation results are identical with tracing on or off.
 //
-// Instrumented code paths start spans through the process-global
-// collector (Enable/Current/StartSpan); with no collector enabled every
-// operation is a nil-safe no-op, which is the production default. Parent
-// resolution is goroutine-bound: a span Bind()s its goroutine so spans
-// started downstream on the same goroutine nest under it without
-// threading handles through APIs (the artifact cache and store cannot
-// carry a span argument without changing content addresses). Goroutines
-// that never bound anything — fresh pool workers — fall back to the
-// collector's root span (SetRoot), typically the sweep.
+// Instrumented code paths start spans from a context.Context (Start):
+// the ctx carries the collector and the current parent span, so a span
+// nests under whatever span started the ctx it was handed, and two
+// sweeps running side by side never see each other's spans. A ctx with
+// no collector makes every operation a nil-safe no-op, which is the
+// production default. The ctx rides as its own argument, never inside
+// a cache key, so threading it changes no content address.
+//
+// Code that traces *around* the program — a benchmark harness timing
+// its own calls — uses the process-global collector (Enable) and
+// goroutine-bound parenting (Bind) instead; the sweep engine adopts
+// both (Adopt) when its ctx carries no collector.
 package telemetry
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -94,7 +98,6 @@ type Collector struct {
 	mu    sync.Mutex
 	next  uint64            // guarded by mu; span ID counter
 	done  []Record          // guarded by mu; finished spans
-	root  string            // guarded by mu; fallback parent span ID
 	bound map[uint64]string // guarded by mu; goroutine ID -> span ID
 }
 
@@ -110,11 +113,8 @@ func NewCollector(traceID string) *Collector {
 // Trace returns the collector's trace ID.
 func (c *Collector) Trace() string { return c.trace }
 
-// active is the process-global collector instrumented code paths start
-// spans through; nil (the default) disables tracing. Like the artifact
-// cache's sink, callers enabling it own the no-overlap discipline: the
-// CLI traces one run per process, the daemon one sweep at a time on its
-// serial dispatcher.
+// active is the process-global collector for code that traces around
+// the program (see Adopt); nil (the default) disables it.
 var active atomic.Pointer[Collector]
 
 // Enable installs c as the process-global collector.
@@ -126,14 +126,49 @@ func Disable() { active.Store(nil) }
 // Current returns the process-global collector, nil when tracing is off.
 func Current() *Collector { return active.Load() }
 
-// StartSpan starts a span on the process-global collector, or returns
-// nil (every Span method is nil-safe) when tracing is off. Callers that
+// ctxKey keys a scope in a context.
+type ctxKey struct{}
+
+// scope is what a ctx carries: the collector spans go to and the span
+// ID new spans parent under ("" makes them roots).
+type scope struct {
+	c      *Collector
+	parent string
+}
+
+// WithCollector returns a ctx whose spans go to c, parented under the
+// span ID parent ("" for roots). A nil c carries no collector.
+func WithCollector(ctx context.Context, c *Collector, parent string) context.Context {
+	return context.WithValue(ctx, ctxKey{}, scope{c: c, parent: parent})
+}
+
+// Start begins a span on ctx's collector under ctx's parent and returns
+// it with a ctx in which it is the parent. Without a collector it
+// returns (nil, ctx); every Span method is nil-safe, so callers that
 // set attribute fields must guard: if sp != nil { sp.Exp = ... }.
-func StartSpan(name string) *Span {
-	if c := Current(); c != nil {
-		return c.Start(name)
+func Start(ctx context.Context, name string) (*Span, context.Context) {
+	s, _ := ctx.Value(ctxKey{}).(scope)
+	if s.c == nil {
+		return nil, ctx
 	}
-	return nil
+	sp := s.c.StartWith(s.parent, name)
+	return sp, WithCollector(ctx, s.c, sp.id)
+}
+
+// Adopt returns ctx unchanged when it carries a collector. Otherwise,
+// with a process-global collector enabled, it returns a ctx carrying
+// that collector, parented under the calling goroutine's bound span:
+// the one place process defaults become a ctx, so tracing set up around
+// the program still captures the program's spans.
+func Adopt(ctx context.Context) context.Context {
+	if s, _ := ctx.Value(ctxKey{}).(scope); s.c != nil {
+		return ctx
+	}
+	c := Current()
+	if c == nil {
+		return ctx
+	}
+	return WithCollector(ctx, c, c.boundSpan())
 }
 
 // Span is a live, unfinished span. The attribute fields may be set by
@@ -157,33 +192,27 @@ type Span struct {
 	ended  bool
 }
 
-// Start begins a span whose parent is the goroutine's bound span if it
-// has one, else the collector's root.
-func (c *Collector) Start(name string) *Span {
+// Start begins a span whose parent is the calling goroutine's bound
+// span, or a root when none is bound.
+func (c *Collector) Start(name string) *Span { return c.StartWith(c.boundSpan(), name) }
+
+// boundSpan returns the span ID bound to the calling goroutine, "" when
+// none is.
+func (c *Collector) boundSpan() string {
 	g := gid()
 	c.mu.Lock()
-	parent, ok := c.bound[g]
-	if !ok {
-		parent = c.root
-	}
-	c.next++
-	id := fmt.Sprintf("%016x", c.next)
-	c.mu.Unlock()
-	return c.startWith(parent, id, name)
+	defer c.mu.Unlock()
+	return c.bound[g]
 }
 
 // StartWith begins a span under an explicit parent span ID ("" for a
-// root) — used when the parent crossed a process boundary, like a
+// root): a ctx's parent, or one that crossed a process boundary, like a
 // client span arriving in a traceparent header.
 func (c *Collector) StartWith(parent, name string) *Span {
 	c.mu.Lock()
 	c.next++
 	id := fmt.Sprintf("%016x", c.next)
 	c.mu.Unlock()
-	return c.startWith(parent, id, name)
-}
-
-func (c *Collector) startWith(parent, id, name string) *Span {
 	now := time.Now()
 	return &Span{c: c, id: id, parent: parent, name: name,
 		start: now, tUs: Us(now.Sub(c.epoch))}
@@ -218,9 +247,10 @@ func (s *Span) End() {
 	s.c.mu.Unlock()
 }
 
-// Bind makes s the parent of spans started on the calling goroutine
-// until the returned restore runs; restore reinstates the previous
-// binding. Nil-safe: a nil span returns a no-op restore.
+// Bind makes s the parent of spans Collector.Start starts on the
+// calling goroutine, and of the sweep Adopt roots there, until the
+// returned restore runs; restore reinstates the previous binding.
+// Nil-safe: a nil span returns a no-op restore.
 func (s *Span) Bind() func() {
 	if s == nil {
 		return func() {}
@@ -237,24 +267,6 @@ func (s *Span) Bind() func() {
 		} else {
 			delete(c.bound, g)
 		}
-		c.mu.Unlock()
-	}
-}
-
-// SetRoot makes s the fallback parent for spans started on unbound
-// goroutines (fresh pool workers); the returned restore reinstates the
-// previous root. Nil collector or span is a no-op.
-func (c *Collector) SetRoot(s *Span) func() {
-	if c == nil || s == nil {
-		return func() {}
-	}
-	c.mu.Lock()
-	prev := c.root
-	c.root = s.id
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		c.root = prev
 		c.mu.Unlock()
 	}
 }

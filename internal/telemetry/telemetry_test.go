@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -27,28 +28,30 @@ func TestTraceIDDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpanParentage: a span started from a ctx nests under the span
+// that produced the ctx, siblings share a parent, and a ctx without a
+// collector starts nothing.
 func TestSpanParentage(t *testing.T) {
 	c := NewCollector("")
-	root := c.Start("sweep")
+	root, ctx := Start(WithCollector(context.Background(), c, ""), "sweep")
 	if root.ID() == "" || strings.Repeat("0", 16) == root.ID() {
 		t.Fatalf("bad root span ID %q", root.ID())
 	}
-	restore := c.SetRoot(root)
-
-	// Same goroutine, explicitly bound: child nests under the binding.
-	unbind := root.Bind()
-	child := c.Start("job")
-	child.Exp, child.Key = "fig5", "loopy"
-	grand := c.Start("stage:sim") // still bound to root, not child
-	grand.End()
-	child.End()
-	unbind()
-	restore()
+	job, jctx := Start(ctx, "job")
+	job.Exp, job.Key = "fig5", "loopy"
+	stage, _ := Start(jctx, "stage:sim")
+	stage.End()
+	merge, _ := Start(ctx, "merge") // ctx still parents at the sweep
+	merge.End()
+	job.End()
 	root.End()
+	if sp, same := Start(context.Background(), "orphan"); sp != nil || same != context.Background() {
+		t.Error("Start without a collector started a span or wrapped the ctx")
+	}
 
 	recs := c.Records()
-	if len(recs) != 3 {
-		t.Fatalf("want 3 records, got %d", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("want 4 records, got %d", len(recs))
 	}
 	byName := map[string]Record{}
 	for _, r := range recs {
@@ -57,17 +60,45 @@ func TestSpanParentage(t *testing.T) {
 			t.Errorf("span %s carries trace %q, want %q", r.Name, r.Trace, c.Trace())
 		}
 	}
-	if byName["sweep"].Parent != "" {
-		t.Errorf("root span has parent %q", byName["sweep"].Parent)
-	}
-	if byName["job"].Parent != root.ID() {
-		t.Errorf("job parent = %q, want root %q", byName["job"].Parent, root.ID())
-	}
-	if byName["stage:sim"].Parent != root.ID() {
-		t.Errorf("stage parent = %q, want bound root %q", byName["stage:sim"].Parent, root.ID())
+	for name, parent := range map[string]string{
+		"sweep": "", "job": root.ID(), "stage:sim": job.ID(), "merge": root.ID(),
+	} {
+		if got := byName[name].Parent; got != parent {
+			t.Errorf("%s parent = %q, want %q", name, got, parent)
+		}
 	}
 	if byName["job"].Exp != "fig5" || byName["job"].Key != "loopy" {
 		t.Errorf("job attrs lost: %+v", byName["job"])
+	}
+}
+
+// TestAdopt: a ctx that carries a collector is kept; otherwise the
+// process-global collector is adopted, parented under the calling
+// goroutine's bound span; with neither, the ctx is returned as is.
+func TestAdopt(t *testing.T) {
+	defer Disable()
+	own := NewCollector("")
+	Enable(NewCollector(""))
+	sp, _ := Start(Adopt(WithCollector(context.Background(), own, "")), "own")
+	sp.End()
+	if len(own.Records()) != 1 || len(Current().Records()) != 0 {
+		t.Error("Adopt replaced the ctx's own collector")
+	}
+
+	global := Current()
+	outer := global.Start("bench:api.Run")
+	unbind := outer.Bind()
+	sweep, _ := Start(Adopt(context.Background()), "sweep")
+	unbind()
+	sweep.End()
+	if sweep == nil || sweep.parent != outer.ID() {
+		t.Errorf("adopted sweep parent = %q, want the bound %q", sweep.ID(), outer.ID())
+	}
+
+	Disable()
+	bg := context.Background()
+	if got := Adopt(bg); got != bg {
+		t.Error("Adopt with no collector anywhere changed the ctx")
 	}
 }
 
@@ -91,19 +122,16 @@ func TestBindRestoresPreviousBinding(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	Disable()
-	sp := StartSpan("anything") // no collector enabled
+	sp, _ := Start(WithCollector(context.Background(), nil, ""), "anything")
 	if sp != nil {
-		t.Fatal("StartSpan without a collector should return nil")
+		t.Fatal("Start without a collector should return nil")
 	}
-	sp.End()         // must not panic
+	sp.End() // must not panic
 	restore := sp.Bind()
 	restore()
 	if sp.ID() != "" {
 		t.Fatal("nil span has an ID")
 	}
-	var c *Collector
-	c.SetRoot(nil)()
 }
 
 func TestEndIdempotent(t *testing.T) {
@@ -127,13 +155,13 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"00-" + trace + "-" + sp.ID(), // missing flags
-		"01-" + trace + "-" + sp.ID() + "-01",                            // unknown version
-		"00-" + strings.Repeat("0", 32) + "-" + sp.ID() + "-01",          // zero trace
-		"00-" + trace + "-" + strings.Repeat("0", 16) + "-01",            // zero span
-		"00-" + strings.ToUpper(trace) + "-" + sp.ID() + "-01",           // uppercase hex
-		"00-" + trace[:31] + "-" + sp.ID() + "-01",                       // short trace
-		"00-" + trace + "-" + sp.ID() + "-01-extra",                      // extra field
+		"00-" + trace + "-" + sp.ID(),         // missing flags
+		"01-" + trace + "-" + sp.ID() + "-01", // unknown version
+		"00-" + strings.Repeat("0", 32) + "-" + sp.ID() + "-01",                   // zero trace
+		"00-" + trace + "-" + strings.Repeat("0", 16) + "-01",                     // zero span
+		"00-" + strings.ToUpper(trace) + "-" + sp.ID() + "-01",                    // uppercase hex
+		"00-" + trace[:31] + "-" + sp.ID() + "-01",                                // short trace
+		"00-" + trace + "-" + sp.ID() + "-01-extra",                               // extra field
 		"00-" + strings.Replace(trace, trace[:1], "g", 1) + "-" + sp.ID() + "-01", // non-hex
 	} {
 		if _, _, ok := ParseTraceparent(bad); ok {
@@ -249,14 +277,14 @@ func TestChromeExportStructure(t *testing.T) {
 }
 
 // TestCollectorConcurrentStress is the -race stress test: many
-// goroutines starting, binding, attributing, and ending spans against
-// one collector — the shape of a parallel sweep dispatching jobs while
-// the serve dispatcher holds the root — with a concurrent Records
-// reader snapshotting mid-flight.
+// goroutines starting, attributing, and ending spans against one
+// collector from ctxs derived from one sweep ctx — the shape of a
+// parallel sweep — plus goroutines parenting through Bind, the way a
+// benchmark's concurrent clients trace around the program, with a
+// concurrent Records reader snapshotting mid-flight.
 func TestCollectorConcurrentStress(t *testing.T) {
 	c := NewCollector(TraceID("stress"))
-	root := c.Start("sweep")
-	restore := c.SetRoot(root)
+	root, ctx := Start(WithCollector(context.Background(), c, ""), "sweep")
 
 	const workers, perWorker = 8, 200
 	stop := make(chan struct{})
@@ -281,21 +309,28 @@ func TestCollectorConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				job := c.Start("job")
-				job.Worker = w + 1
-				job.Key = fmt.Sprintf("job-%d-%d", w, i)
-				unbind := job.Bind()
-				stage := c.Start("stage:sim")
-				stage.End()
+				if w%2 == 0 {
+					job, jctx := Start(ctx, "job")
+					job.Worker = w + 1
+					job.Key = fmt.Sprintf("job-%d-%d", w, i)
+					stage, _ := Start(jctx, "stage:sim")
+					stage.End()
+					job.End()
+					continue
+				}
+				client := c.StartWith(root.ID(), "client:sweep")
+				client.Key = fmt.Sprintf("client-%d-%d", w, i)
+				unbind := client.Bind()
+				call := c.Start("bench:call")
+				call.End()
 				unbind()
-				job.End()
+				client.End()
 			}
 		}(w)
 	}
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	restore()
 	root.End()
 
 	recs := c.Records()
@@ -303,30 +338,23 @@ func TestCollectorConcurrentStress(t *testing.T) {
 	if len(recs) != want {
 		t.Fatalf("want %d records, got %d", want, len(recs))
 	}
-	ids := map[string]bool{}
 	byID := map[string]Record{}
 	for _, r := range recs {
-		if ids[r.Span] {
+		if _, dup := byID[r.Span]; dup {
 			t.Fatalf("duplicate span ID %s", r.Span)
 		}
-		ids[r.Span] = true
 		byID[r.Span] = r
 	}
+	parentOf := map[string]string{"job": "sweep", "client:sweep": "sweep", "stage:sim": "job", "bench:call": "client:sweep"}
 	for _, r := range recs {
-		switch r.Name {
-		case "sweep":
+		if r.Name == "sweep" {
 			if r.Parent != "" {
 				t.Errorf("sweep has parent %q", r.Parent)
 			}
-		case "job":
-			if r.Parent != root.ID() {
-				t.Errorf("job %s parent = %q, want sweep %q", r.Key, r.Parent, root.ID())
-			}
-		case "stage:sim":
-			p, ok := byID[r.Parent]
-			if !ok || p.Name != "job" {
-				t.Errorf("stage parent %q is not a job span", r.Parent)
-			}
+			continue
+		}
+		if p, ok := byID[r.Parent]; !ok || p.Name != parentOf[r.Name] {
+			t.Errorf("%s %s parent %q is not a %s span", r.Name, r.Key, r.Parent, parentOf[r.Name])
 		}
 	}
 }
