@@ -47,12 +47,14 @@ checkprog:
 race:
 	$(GO) test -race -short ./...
 
-# fuzz runs the traceparent parser's fuzz target — the header is the
-# client input that roots a daemon sweep's span tree — for a fixed short
-# time on top of its committed seed corpus
-# (internal/telemetry/testdata/fuzz).
+# fuzz runs the fuzz targets of the parsers that read outside input, each
+# for a fixed short time on top of its committed seed corpus: the
+# traceparent header, the client input that roots a daemon sweep's span
+# tree (internal/telemetry/testdata/fuzz), then assembly source, seeded
+# with the built-in workloads (internal/asm/testdata/fuzz).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm
 
 # faults drives the deterministic fault-injection matrix end to end:
 # every fault point (cache corruption, transient/permanent failures,

@@ -123,6 +123,7 @@ type assembler struct {
 	textPos uint64
 	dataPos uint64
 	sec     section
+	lines   int // source line count
 }
 
 func (a *assembler) errf(line int, format string, args ...interface{}) error {
@@ -130,7 +131,9 @@ func (a *assembler) errf(line int, format string, args ...interface{}) error {
 }
 
 func (a *assembler) pass1(src string) error {
-	for lineNo, raw := range strings.Split(src, "\n") {
+	lines := strings.Split(src, "\n")
+	a.lines = len(lines)
+	for lineNo, raw := range lines {
 		line := raw
 		if i := strings.IndexAny(line, ";#"); i >= 0 {
 			line = line[:i]
@@ -222,6 +225,9 @@ func (a *assembler) dataDirective(line int, op, rest string) error {
 		if err != nil || n < 0 {
 			return a.errf(line, "bad .space size %q", rest)
 		}
+		if uint64(n) > prog.StackTop-a.dataPos {
+			return a.errf(line, ".space %d runs the data section into the stack at %#x", n, prog.StackTop)
+		}
 		a.emitData(line, make([]byte, n), "")
 	case ".word":
 		for _, f := range splitOperands(rest) {
@@ -252,6 +258,9 @@ func (a *assembler) dataDirective(line int, op, rest string) error {
 			}
 			a.emitData(line, nil, f)
 		}
+	}
+	if a.dataPos > prog.StackTop {
+		return a.errf(line, "data section runs into the stack at %#x", prog.StackTop)
 	}
 	return nil
 }
@@ -574,7 +583,8 @@ func (a *assembler) pass2() (*prog.Program, error) {
 		p.Entry = prog.CodeBase
 	}
 	if nInst == 0 {
-		return nil, &Error{File: a.file, Msg: "program has no instructions"}
+		// Reported at the end of the input, where code was still missing.
+		return nil, a.errf(a.lines, "program has no instructions")
 	}
 	return p, nil
 }

@@ -233,6 +233,8 @@ func TestErrors(t *testing.T) {
 		{"main:\n halt extra", "takes no operands"},
 		{".data\n .byte 300\n", "bad .byte"},
 		{".data\n .space -1\n", "bad .space"},
+		{".data\n .space 99999999999\n", "into the stack"},
+		{".data\n .space 0x6fefff\n .word 1\n", "into the stack"},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)

@@ -24,6 +24,10 @@ func Format(p *prog.Program) string {
 	return b.String()
 }
 
+// minSpaceRun is the shortest run of zero data bytes Format renders as
+// .space rather than as .byte values.
+const minSpaceRun = 16
+
 type formatter struct {
 	p      *prog.Program
 	labels map[uint64][]string // addr -> sorted label names
@@ -86,6 +90,13 @@ func (f *formatter) code(b *strings.Builder) {
 			fmt.Fprintf(b, "%s:\n", l)
 		}
 		fmt.Fprintf(b, "\t%s\n", f.inst(pc, in))
+	}
+	// A label after the last instruction (a bound, or a branch target
+	// past the end) still names the end of the text section.
+	if end := f.p.CodeBase + 4*uint64(len(f.p.Code)); end < prog.DataBase {
+		for _, l := range f.labels[end] {
+			fmt.Fprintf(b, "%s:\n", l)
+		}
 	}
 }
 
@@ -157,12 +168,24 @@ func (f *formatter) data(b *strings.Builder) {
 
 	b.WriteString(".data\n")
 	pos := prog.DataBase
+	// space reports whether the bytes from at on render as .space: an
+	// uncovered byte, or the start of a long zero run (a .space buffer,
+	// which assembles to covered zeros).
+	space := func(at, upto uint64) bool {
+		if !covered[at-prog.DataBase] {
+			return true
+		}
+		n := uint64(0)
+		for at+n < upto && n < minSpaceRun && img[at+n-prog.DataBase] == 0 {
+			n++
+		}
+		return n == minSpaceRun
+	}
 	emitChunk := func(upto uint64) {
 		for pos < upto {
-			// Runs of uncovered bytes become .space; covered runs .byte.
-			if !covered[pos-prog.DataBase] {
+			if space(pos, upto) {
 				n := uint64(0)
-				for pos+n < upto && !covered[pos+n-prog.DataBase] {
+				for pos+n < upto && img[pos+n-prog.DataBase] == 0 { // uncovered bytes are zero in img
 					n++
 				}
 				fmt.Fprintf(b, "\t.space %d\n", n)
@@ -170,7 +193,7 @@ func (f *formatter) data(b *strings.Builder) {
 				continue
 			}
 			var vals []string
-			for pos < upto && covered[pos-prog.DataBase] && len(vals) < 16 {
+			for pos < upto && len(vals) < 16 && !space(pos, upto) {
 				vals = append(vals, fmt.Sprintf("%d", img[pos-prog.DataBase]))
 				pos++
 			}

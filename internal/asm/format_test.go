@@ -1,20 +1,27 @@
 package asm
 
 import (
+	"strings"
 	"testing"
 
 	"cisim/internal/prog"
 )
 
-// dataImage flattens a program's data segments into one byte map.
-func dataImage(p *prog.Program) map[uint64]byte {
-	img := map[uint64]byte{}
+// dataImage flattens a program's data segments into one image from
+// prog.DataBase; present marks the bytes some segment covers.
+func dataImage(p *prog.Program) (img []byte, present []bool) {
 	for _, s := range p.Data {
-		for i, b := range s.Bytes {
-			img[s.Addr+uint64(i)] = b
+		if end := int(s.Addr-prog.DataBase) + len(s.Bytes); end > len(img) {
+			img = append(img, make([]byte, end-len(img))...)
+			present = append(present, make([]bool, end-len(present))...)
+		}
+		off := s.Addr - prog.DataBase
+		copy(img[off:], s.Bytes)
+		for i := range s.Bytes {
+			present[off+uint64(i)] = true
 		}
 	}
-	return img
+	return img, present
 }
 
 // assertRoundTrip asserts that Format(p) reassembles to the same image.
@@ -36,15 +43,24 @@ func assertRoundTrip(t *testing.T, p *prog.Program, what string) {
 	if p.Entry != q.Entry {
 		t.Errorf("%s: entry %#x -> %#x", what, p.Entry, q.Entry)
 	}
-	pi, qi := dataImage(p), dataImage(q)
-	for a, b := range pi {
-		if qb, ok := qi[a]; !ok || qb != b {
-			t.Fatalf("%s: data byte at %#x: %#x -> %#x (present=%v)", what, a, b, qb, ok)
+	pi, pok := dataImage(p)
+	qi, qok := dataImage(q)
+	for i, b := range pi {
+		if !pok[i] {
+			continue
+		}
+		if i >= len(qi) || !qok[i] || qi[i] != b {
+			var qb byte
+			if i < len(qi) {
+				qb = qi[i]
+			}
+			t.Fatalf("%s: data byte at %#x: %#x -> %#x (present=%v)",
+				what, prog.DataBase+uint64(i), b, qb, i < len(qok) && qok[i])
 		}
 	}
-	for a := range qi {
-		if _, ok := pi[a]; !ok && qi[a] != 0 {
-			t.Fatalf("%s: reassembly invented non-zero data byte at %#x", what, a)
+	for i, b := range qi {
+		if (i >= len(pok) || !pok[i]) && b != 0 {
+			t.Fatalf("%s: reassembly invented non-zero data byte at %#x", what, prog.DataBase+uint64(i))
 		}
 	}
 	for pc, ts := range p.IndirectTargets {
@@ -88,8 +104,14 @@ buf:
 tail:
 	.space 5
 	.byte 1, 2, 250
+big:
+	.space 4096
 `)
 	assertRoundTrip(t, p, "basics")
+	// A long zero run renders as .space, not as 256 lines of .byte 0.
+	if src := Format(p); !strings.Contains(src, "big:\n\t.space 4096\n") {
+		t.Errorf("the 4096-byte buffer is not rendered as .space:\n%s", src)
+	}
 }
 
 func TestFormatRoundTripJumpTable(t *testing.T) {

@@ -88,6 +88,12 @@ type machine struct {
 	// nest within a cycle, so one buffer serves them all.
 	storeScratch []*dyn
 
+	// On-demand stability state (stable, olderStoreUnstable): the current
+	// epoch, and the per-cycle scan of live stores in window order.
+	stabEpoch     uint32
+	storeScan     int
+	storeUnstable int
+
 	// shadow carries the map-based reference implementations when
 	// Config.refCheck is set (refcheck.go); nil in normal runs.
 	shadow *refShadow
@@ -291,6 +297,9 @@ func (m *machine) step() error {
 			return err
 		}
 		if err := m.checkContinuity(); err != nil {
+			return err
+		}
+		if err := m.checkConsumerLists(); err != nil {
 			return err
 		}
 	}
@@ -502,11 +511,9 @@ func (m *machine) dispatchStage() {
 
 func (m *machine) renameAtTail(d *dyn) {
 	for i := 0; i < d.nsrc; i++ {
-		if d.srcReg[i] == isa.RZero {
-			d.src[i] = nil
-			continue
+		if d.srcReg[i] != isa.RZero {
+			setSrc(d, i, m.tailRmap[d.srcReg[i]])
 		}
-		d.src[i] = m.tailRmap[d.srcReg[i]]
 	}
 	if d.hasRd {
 		m.tailRmap[d.dest] = d
@@ -821,30 +828,23 @@ func covers(a uint64, an uint8, b uint64, bn uint8) bool {
 }
 
 // wakeConsumers reissues instructions whose source is d (selective
-// reissue, §3.2.4: issue buffers reissue autonomously on a new value).
+// reissue, §3.2.4: a new value reaches only its consumers). It walks d's
+// consumer list rather than the younger window: the list holds exactly
+// the (consumer, slot) pairs whose src names d, so after skipping dead
+// consumers it visits the live consumers the window scan would find.
+// forceReissue is idempotent and order-free, so the list's order (and a
+// consumer reading d in both slots) does not matter.
 //
 //cisim:hot
 func (m *machine) wakeConsumers(d *dyn) {
-	if cache, flags, ok := m.win.liveAfter(d); ok {
-		m.win.walking++
-		for i, f := range flags {
-			if f&fDead != 0 {
-				continue
-			}
-			if c := cache[i]; c.src[0] == d || c.src[1] == d {
-				m.forceReissue(c)
-			}
-		}
-		m.win.walking--
-		return
+	if m.shadow != nil {
+		m.shadow.checkWake(m, d)
 	}
-	m.win.forEachAfter(d, func(c *dyn) bool {
-		if c.src[0] != d && c.src[1] != d {
-			return true
+	for c, i := d.cons, d.consSlot; c != nil; c, i = c.nextC[i], c.nextS[i] {
+		if !c.squashed && !c.retired {
+			m.forceReissue(c)
 		}
-		m.forceReissue(c)
-		return true
-	})
+	}
 }
 
 // forceReissue sends a dyn back for (re)issue.
@@ -945,32 +945,30 @@ func (m *machine) reissueLoad(c *dyn) {
 //
 //cisim:hot
 func (m *machine) recoveryStage() {
-	needStable := m.cfg.Completion == SpecC || m.cfg.Completion == NonSpec ||
-		m.cfg.ConfidenceDelay
-	if needStable {
-		m.computeStability()
+	// The stage runs outside any window walk, so the live-order cache is
+	// always usable here.
+	cache, flags, _ := m.win.live()
+	// Stability is answered on demand by resolveStep; a new epoch
+	// invalidates last cycle's memoised answers and restarts the store
+	// scan at the first entry that may be live.
+	m.stabEpoch++
+	m.storeScan, m.storeUnstable = m.win.lo, -1
+	if m.shadow != nil {
+		m.shadow.stabilityPass(m)
 	}
 	oldestUnresolved := true
-	if cache, flags, ok := m.win.live(); ok {
-		m.win.walking++
-		// SoA fast path: only live, still-unresolved control instructions
-		// participate — resolveStep returns immediately (and leaves
-		// oldestUnresolved untouched) for everything else — so the scan
-		// filters on the dense pending-control bit and derefs branches
-		// only.
-		for i, f := range flags {
-			if f&(fDead|fPendCtl) != fPendCtl {
-				continue
-			}
-			m.resolveStep(cache[i], &oldestUnresolved)
+	m.win.walking++
+	// SoA fast path: only live, still-unresolved control instructions
+	// participate — resolveStep returns immediately (and leaves
+	// oldestUnresolved untouched) for everything else — so the scan
+	// filters on the dense pending-control bit and derefs branches only.
+	for i, f := range flags {
+		if f&(fDead|fPendCtl) != fPendCtl {
+			continue
 		}
-		m.win.walking--
-	} else {
-		m.win.forEach(func(d *dyn) bool {
-			m.resolveStep(d, &oldestUnresolved)
-			return true
-		})
+		m.resolveStep(cache[i], &oldestUnresolved)
 	}
+	m.win.walking--
 	m.serviceRecoveries()
 }
 
@@ -978,9 +976,6 @@ func (m *machine) recoveryStage() {
 // cycle under the configured completion model.
 func (m *machine) resolveStep(d *dyn, oldestUnresolved *bool) {
 	if !d.isCtl || d.ctlDone {
-		if d.isCtl && !d.ctlDone {
-			*oldestUnresolved = false
-		}
 		return
 	}
 	if d.st != stDone {
@@ -991,13 +986,13 @@ func (m *machine) resolveStep(d *dyn, oldestUnresolved *bool) {
 	switch m.cfg.Completion {
 	case Spec:
 	case SpecC:
-		ok = d.stableFlag
+		ok = m.stable(d)
 	case SpecD:
 		ok = *oldestUnresolved
 	case NonSpec:
-		ok = *oldestUnresolved && d.stableFlag
+		ok = *oldestUnresolved && m.stable(d)
 	}
-	if ok && m.cfg.ConfidenceDelay && d.isCond && !d.stableFlag &&
+	if ok && m.cfg.ConfidenceDelay && d.isCond && !m.stable(d) &&
 		m.conf.Confident(d.pc, d.histBefore) {
 		// §A.2.2 hedge: a high-confidence prediction is held while
 		// its operands are speculative, hoping any apparent
@@ -1056,57 +1051,61 @@ func (m *machine) checkResolved(d *dyn) {
 	m.pendingRecs = append(m.pendingRecs, pendingRec{d: d, taken: d.compTaken, target: d.compTarget})
 }
 
-// computeStability runs the forward data-stability pass used by the
-// spec-C and non-spec completion models: a value is stable when it was
-// computed from stable inputs and no older memory operation can still
-// change it. The result lives in each dyn's stableFlag.
+// stable reports d's data stability this cycle: a value is stable when it
+// was computed from stable inputs and no older memory operation can still
+// change it. Only unresolved branches ask, so the answer is computed on
+// demand — recursing into producers and memoised per cycle by stabEpoch —
+// instead of by a forward pass over the whole window every cycle. It
+// equals that pass's flag (refShadow.stabilityPass, checked under
+// Config.refCheck) because producers are older than their consumers and
+// nothing in the resolve loop changes st, stale, squashed or retired.
 //
 //cisim:hot
-func (m *machine) computeStability() {
-	allOlderMemStable := true
-	if cache, flags, ok := m.win.live(); ok {
-		m.win.walking++
-		for i, f := range flags {
-			if f&fDead != 0 {
-				continue
-			}
-			m.stabilityStep(cache[i], &allOlderMemStable)
-		}
-		m.win.walking--
-		return
+func (m *machine) stable(d *dyn) bool {
+	if d.stabEpoch == m.stabEpoch {
+		return d.stableFlag
 	}
-	m.win.forEach(func(d *dyn) bool {
-		m.stabilityStep(d, &allOlderMemStable)
-		return true
-	})
-}
-
-// stabilityStep computes one instruction's stability flag during the
-// forward pass.
-func (m *machine) stabilityStep(d *dyn, allOlderMemStable *bool) {
+	// Stamp first: a dependence cycle (impossible — producers are older)
+	// would read false instead of recursing forever.
+	d.stabEpoch, d.stableFlag = m.stabEpoch, false
 	s := d.st == stDone && !d.stale
-	if s {
-		for i := 0; i < d.nsrc; i++ {
-			// A retired producer is committed state (stable). A
-			// squashed producer means the mapping awaits redispatch
-			// repair: inherently speculative data.
-			p := d.src[i]
-			if p == nil || p.retired {
-				continue
-			}
-			if p.squashed || !p.stableFlag {
-				s = false
-				break
-			}
+	for i := 0; s && i < d.nsrc; i++ {
+		// A retired producer is committed state (stable). A squashed
+		// producer means the mapping awaits redispatch repair:
+		// inherently speculative data.
+		if p := d.src[i]; p != nil && !p.retired && (p.squashed || !m.stable(p)) {
+			s = false
 		}
 	}
-	if s && d.isLoad && !*allOlderMemStable {
+	if s && d.isLoad && m.olderStoreUnstable(d) {
 		s = false
 	}
 	d.stableFlag = s
-	if d.isStore && !s {
-		*allOlderMemStable = false
+	if m.shadow != nil {
+		m.shadow.checkStable(m, d, s)
 	}
+	return s
+}
+
+// olderStoreUnstable reports whether a live store older than load d is
+// unstable. It resumes one per-cycle scan of the live-order cache:
+// entries below storeScan are evaluated, and storeUnstable is the cache
+// index of the oldest unstable store among them (-1: none). The scan
+// stops at the first unstable store, since every younger load's answer
+// is then known. The cursor advances before a store is evaluated; the
+// store's producers are older than it, so any load the evaluation asks
+// about lies below the cursor and is answered without rescanning.
+func (m *machine) olderStoreUnstable(d *dyn) bool {
+	w := m.win
+	at := w.cacheIndex(w.liveCache, d)
+	for m.storeUnstable < 0 && m.storeScan < at {
+		j := m.storeScan
+		m.storeScan++
+		if w.liveFlags[j]&(fDead|fIsStore) == fIsStore && !m.stable(w.liveCache[j]) {
+			m.storeUnstable = j
+		}
+	}
+	return m.storeUnstable >= 0 && m.storeUnstable < at
 }
 
 // --- retire stage ---
@@ -1424,6 +1423,80 @@ func (m *machine) checkContinuity() error {
 		return true
 	})
 	return err
+}
+
+// checkConsumerLists verifies the consumer lists wakeConsumers walks:
+// every live dyn's non-nil src[i] holds the pair (dyn, i) on its list
+// exactly once, and every pair on a list names a consumer whose src
+// still points at the list's owner (a stale pair would wake a
+// non-consumer). Each live producer's list is walked once; the live
+// pairs found there must number exactly the live pairs naming a live
+// producer, which, with walkConsumerList's per-entry checks, makes the
+// two sets equal. Pairs naming a dead producer (awaiting redispatch, or
+// retired) are looked up on its list one by one.
+func (m *machine) checkConsumerLists() error {
+	want, found := 0, 0
+	var err error
+	m.win.forEach(func(d *dyn) bool {
+		var n int
+		if n, _, err = m.walkConsumerList(d, nil, 0); err != nil {
+			return false
+		}
+		found += n
+		for i := 0; i < d.nsrc; i++ {
+			p := d.src[i]
+			if p == nil {
+				continue
+			}
+			if !p.squashed && !p.retired {
+				want++
+				continue
+			}
+			var hits int
+			if _, hits, err = m.walkConsumerList(p, d, uint8(i)); err != nil {
+				return false
+			}
+			if hits != 1 {
+				err = fmt.Errorf("ooo: cycle %d: %v slot %d is on the consumer list of %v %d times, want once",
+					m.cycle, d, i, p, hits)
+				return false
+			}
+		}
+		return true
+	})
+	if err == nil && found != want {
+		err = fmt.Errorf("ooo: cycle %d: consumer lists of live producers hold %d live pairs, want %d",
+			m.cycle, found, want)
+	}
+	return err
+}
+
+// walkConsumerList walks p's consumer list, checking that every entry
+// names a consumer of p and links back to its predecessor. The back
+// links make the walk finite and the entries distinct: a repeated pair
+// would need two different predecessors. It returns the number of live
+// entries and how many times (c, slot) appears.
+func (m *machine) walkConsumerList(p, c *dyn, slot uint8) (live, hits int, err error) {
+	var prev *dyn
+	var prevS uint8
+	for e, s := p.cons, p.consSlot; e != nil; e, s = e.nextC[s], e.nextS[s] {
+		if e.src[s] != p {
+			return 0, 0, fmt.Errorf("ooo: cycle %d: consumer list of %v holds %v slot %d, whose source is %v",
+				m.cycle, p, e, s, e.src[s])
+		}
+		if e.prevC[s] != prev || (prev != nil && e.prevS[s] != prevS) {
+			return 0, 0, fmt.Errorf("ooo: cycle %d: consumer list of %v: broken back link at %v slot %d",
+				m.cycle, p, e, s)
+		}
+		if !e.squashed && !e.retired {
+			live++
+		}
+		if e == c && s == slot {
+			hits++
+		}
+		prev, prevS = e, s
+	}
+	return live, hits, nil
 }
 
 // inWindow reports whether a dyn still sits in a linked segment

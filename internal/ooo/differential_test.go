@@ -58,13 +58,15 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 }
 
 // TestDifferentialRefShadow cross-checks the data-oriented hot structures
-// (dense rename map, event wheel, reconvergence bitsets) against the
-// retained pre-rewrite map implementations, in lockstep, on the real
-// workloads: every machine model under both completion models relevant to
-// the study. Config.refCheck makes the machine maintain both
-// representations at every mutation point and panic on any divergence, so
-// a pass here means the rewrite is observationally identical to the map
-// semantics cycle by cycle, not merely end to end. The refCheck runs must
+// (dense rename map, event wheel, reconvergence bitsets, consumer lists,
+// on-demand stability) against the retained pre-rewrite maps and window
+// scans, in lockstep, on the real workloads: every machine model under
+// every completion model, plus the two stability readers that are not
+// completion models (the confidence hedge and the HFM oracle). Config.
+// refCheck makes the machine maintain both representations at every
+// mutation point and panic on any divergence, so a pass here means the
+// rewrite is observationally identical to the reference semantics cycle
+// by cycle, not merely end to end. The refCheck runs must
 // also report exactly the stats of plain runs: the shadow may not perturb
 // the simulation. The checked runs also enable Config.Check, whose
 // window.check pass revalidates the SoA live cache every cycle: the
@@ -83,10 +85,10 @@ func TestDifferentialRefShadow(t *testing.T) {
 			t.Fatalf("%s: prepare: %v", w.Name, err)
 		}
 		for _, machine := range []Machine{Base, CI, CIInstant} {
-			for _, comp := range []Completion{SpecC, Spec} {
-				c := Config{Machine: machine, WindowSize: 128, SegmentSize: 8,
-					Completion: comp, MaxInstrs: maxInstrs}
-				name := w.Name + "/" + machine.String() + "/" + comp.String()
+			for _, model := range refShadowModels {
+				c := model.c
+				c.Machine, c.WindowSize, c.SegmentSize, c.MaxInstrs = machine, 128, 8, maxInstrs
+				name := w.Name + "/" + machine.String() + "/" + model.name
 				plain, err := RunPrepared(p, c, pre)
 				if err != nil {
 					t.Fatalf("%s: plain run: %v", name, err)
@@ -111,6 +113,21 @@ func TestDifferentialRefShadow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refShadowModels are the completion settings TestDifferentialRefShadow
+// runs: each completion model, and the confidence hedge and the HFM
+// oracle, which gate resolution on stability outside the models.
+var refShadowModels = []struct {
+	name string
+	c    Config
+}{
+	{"spec-C", Config{Completion: SpecC}},
+	{"spec", Config{Completion: Spec}},
+	{"non-spec", Config{Completion: NonSpec}},
+	{"spec-D", Config{Completion: SpecD}},
+	{"spec+conf", Config{Completion: Spec, ConfidenceDelay: true}},
+	{"spec-C+hfm", Config{Completion: SpecC, HideFalseMispredictions: true}},
 }
 
 // steadyLoopProgram is a predictable counted loop with no calls, loads, or

@@ -814,18 +814,11 @@ func (m *machine) newDynAt(pc uint64, in isa.Inst, act *restartSeq) *dyn {
 }
 
 func (m *machine) renameWith(d *dyn, rmap *regMap) {
-	changed := false
 	for i := 0; i < d.nsrc; i++ {
-		if d.srcReg[i] == isa.RZero {
-			continue
-		}
-		p := rmap[d.srcReg[i]]
-		if d.src[i] != p {
-			d.src[i] = p
-			changed = true
+		if d.srcReg[i] != isa.RZero {
+			setSrc(d, i, rmap[d.srcReg[i]])
 		}
 	}
-	_ = changed
 	if d.hasRd {
 		rmap[d.dest] = d
 	}
@@ -973,7 +966,7 @@ func (m *machine) continueWalk() {
 			}
 			p := rd.rmap[d.srcReg[i]]
 			if d.src[i] != p {
-				d.src[i] = p
+				setSrc(d, i, p)
 				changed = true
 			} else if p == nil && d.issues > 0 && m.regCommitC[d.srcReg[i]] > d.lastIssueC {
 				changed = true

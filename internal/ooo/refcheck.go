@@ -8,21 +8,28 @@ import (
 
 // refShadow is the retained pre-rewrite reference path: the map-based
 // implementations of the tail rename map, the completion-event schedule,
-// and the reconvergence candidate sets that dense.go replaced. When
-// Config.refCheck is set (white-box tests), the machine maintains both
-// representations at every mutation point and cross-checks them — the
-// rename map every cycle and at every rebuild, the event schedule at
-// every drain (including order), and the PC sets at every membership
-// query. Any divergence panics with the cycle and the differing entry.
+// and the reconvergence candidate sets that dense.go replaced, and the
+// window scans that the consumer lists and on-demand stability replaced.
+// When Config.refCheck is set (white-box tests), the machine maintains
+// both representations at every mutation point and cross-checks them —
+// the rename map every cycle and at every rebuild, the event schedule at
+// every drain (including order), the PC sets at every membership query,
+// the consumer set at every wake, and every stability answer against the
+// forward pass. Any divergence panics with the cycle and the differing
+// entry.
 //
-// The maps here are intentionally the original data structures, not a
-// re-derivation, so the differential tests compare the rewritten machine
-// against the exact pre-rewrite semantics.
+// The maps and scans here are intentionally the original data structures
+// and walks, not a re-derivation, so the differential tests compare the
+// rewritten machine against the exact pre-rewrite semantics.
 type refShadow struct {
 	tailRmap    map[isa.Reg]*dyn
 	events      map[int64][]*dyn
 	retTargets  map[uint64]bool
 	loopTargets map[uint64]bool
+	// stable holds each dyn's flag from the forward stability pass; like
+	// the dyn field the pass used to write, an entry persists across
+	// cycles until the pass next visits the dyn.
+	stable map[*dyn]bool
 }
 
 func newRefShadow() *refShadow {
@@ -31,6 +38,7 @@ func newRefShadow() *refShadow {
 		events:      make(map[int64][]*dyn),
 		retTargets:  make(map[uint64]bool),
 		loopTargets: make(map[uint64]bool),
+		stable:      make(map[*dyn]bool),
 	}
 }
 
@@ -112,5 +120,73 @@ func (rs *refShadow) drainEvents(now int64, evs []*dyn) {
 func (rs *refShadow) checkMember(name string, ref map[uint64]bool, pc uint64, got bool) {
 	if ref[pc] != got {
 		panic(fmt.Sprintf("refcheck: %s[%#x] = %v, reference %v", name, pc, got, ref[pc]))
+	}
+}
+
+// checkWake compares the consumers wakeConsumers reaches through d's list
+// with the pre-list window scan: every live dyn younger than d with a
+// source pointing at d. Each consumer the scan finds must be on the
+// list, and the list must hold no other live consumer (a consumer
+// reading d in both slots is on it twice and counted once).
+func (rs *refShadow) checkWake(m *machine, d *dyn) {
+	ref := 0
+	m.win.forEachAfter(d, func(c *dyn) bool {
+		if c.src[0] != d && c.src[1] != d {
+			return true
+		}
+		ref++
+		for e, s := d.cons, d.consSlot; e != c; e, s = e.nextC[s], e.nextS[s] {
+			if e == nil {
+				panic(fmt.Sprintf("refcheck: cycle %d: wake of %v misses consumer %v", m.cycle, d, c))
+			}
+		}
+		return true
+	})
+	got := 0
+	for c, s := d.cons, d.consSlot; c != nil; c, s = c.nextC[s], c.nextS[s] {
+		if !c.squashed && !c.retired && (s == 0 || c.src[0] != d) {
+			got++
+		}
+	}
+	if got != ref {
+		panic(fmt.Sprintf("refcheck: cycle %d: wake of %v reaches %d live consumers, the window scan %d",
+			m.cycle, d, got, ref))
+	}
+}
+
+// stabilityPass is the pre-rewrite forward data-stability pass over the
+// live window, run at the start of each recovery stage into rs.stable.
+func (rs *refShadow) stabilityPass(m *machine) {
+	allOlderMemStable := true
+	m.win.forEach(func(d *dyn) bool {
+		s := d.st == stDone && !d.stale
+		if s {
+			for i := 0; i < d.nsrc; i++ {
+				p := d.src[i]
+				if p == nil || p.retired {
+					continue
+				}
+				if p.squashed || !rs.stable[p] {
+					s = false
+					break
+				}
+			}
+		}
+		if s && d.isLoad && !allOlderMemStable {
+			s = false
+		}
+		rs.stable[d] = s
+		if d.isStore && !s {
+			allOlderMemStable = false
+		}
+		return true
+	})
+}
+
+// checkStable compares one on-demand stability answer with this cycle's
+// forward pass.
+func (rs *refShadow) checkStable(m *machine, d *dyn, got bool) {
+	if ref := rs.stable[d]; got != ref {
+		panic(fmt.Sprintf("refcheck: cycle %d: stable(%v) = %v, forward pass %v", m.cycle, d, got, ref))
 	}
 }

@@ -19,63 +19,127 @@ const (
 // dyn is a dynamic instruction instance. Its identity doubles as its
 // physical-register tag: consumers hold *dyn pointers, and a destination
 // keeps its tag across reissues (§3.2.3).
+//
+// The simulator allocates one per fetched instruction and keeps whole
+// slabs of them across runs (arena.go), so the layout is chosen for the
+// slab: pointer fields come first, because the garbage collector scans
+// an object only up to its last pointer word, and the rest is ordered
+// by alignment (8-byte, 4-byte, 1-byte) to leave no padding.
+// TestDynSize pins the size.
 type dyn struct {
+	// Renaming: src[i] is the producing instruction for the i'th source
+	// register, nil when the value comes from committed state. Only
+	// setSrc writes src, keeping the consumer lists below in step.
+	src [2]*dyn
+
+	// Consumer lists (§3.2.4 selective reissue): every (consumer, slot)
+	// pair whose src[slot] is this dyn sits on this dyn's intrusive,
+	// doubly linked list, headed by cons/consSlot. A consumer's links for
+	// its slot i are nextC[i]/nextS[i] and prevC[i]/prevS[i]; a nil prevC
+	// marks the list head. Links of squashed or retired consumers are left
+	// in place and skipped by wakeConsumers.
+	cons  *dyn
+	nextC [2]*dyn
+	prevC [2]*dyn
+
+	fwdFrom *dyn       // store a load forwarded from; nil = committed memory
+	seg     *segment   // window bookkeeping
+	rasSnap bpred.Snap // return-stack snapshot for recovery (a pointer, then an int)
+
 	seq  uint64
 	pc   uint64
 	inst isa.Inst
 	gold int // index into the golden stream; -1 on a wrong path
+	nsrc int
 
-	// Renaming: src[i] is the producing instruction for the i'th source
-	// register, nil when the value comes from committed state.
-	srcReg [2]isa.Reg
-	src    [2]*dyn
-	nsrc   int
-	dest   isa.Reg
-	hasRd  bool
-
-	st         dynState
-	stale      bool // an input changed while executing: reissue on completion
 	val        uint64
-	hasVal     bool
 	issues     int
 	doneC      int64
 	fetchC     int64
 	lastIssueC int64
 
 	// Memory state.
-	isLoad, isStore bool
-	ea              uint64
-	esize           uint8
-	eaValid         bool
-	fwdFrom         *dyn // store a load forwarded from; nil = committed memory
+	ea uint64
 
 	// Control state.
-	isCtl         bool // consumes a prediction (cond branch / indirect / return)
-	isCond        bool
-	predTaken     bool
-	assumedTaken  bool   // direction fetch currently assumes
 	assumedTarget uint64 // target fetch currently assumes
-	ctlDone       bool   // branch has completed (control resolved)
 	ctlDoneC      int64  // cycle control resolved (completion-model gated)
-	compTaken     bool
 	compTarget    uint64
-	histBefore    bpred.History
-	rasSnap       bpred.Snap
-
-	stableFlag bool // data-stability flag (spec-C/non-spec gating)
 
 	// Window bookkeeping.
-	seg      *segment
-	slot     int
-	pos      int64
-	squashed bool
-	retired  bool
-	liveIdx  int32 // index in the window's live-order cache; see refresh
+	slot int
+	pos  int64
+
+	histBefore bpred.History
+	liveIdx    int32 // index in the window's live-order cache; see refresh
+	// stabEpoch stamps stableFlag with the stability epoch it was computed
+	// in (machine.stable memoises one answer per cycle).
+	stabEpoch uint32
+
+	srcReg   [2]isa.Reg
+	consSlot uint8
+	nextS    [2]uint8
+	prevS    [2]uint8
+	dest     isa.Reg
+	hasRd    bool
+
+	st     dynState
+	stale  bool // an input changed while executing: reissue on completion
+	hasVal bool
+
+	isLoad, isStore bool
+	esize           uint8
+	eaValid         bool
+
+	isCtl        bool // consumes a prediction (cond branch / indirect / return)
+	isCond       bool
+	predTaken    bool
+	assumedTaken bool // direction fetch currently assumes
+	ctlDone      bool // branch has completed (control resolved)
+	compTaken    bool
+
+	stableFlag bool // stable(d)'s memoised answer while stabEpoch is current
+	squashed   bool
+	retired    bool
 
 	// Table 3 accounting: saved records whether this instruction was
 	// preserved across a recovery, and in what state.
 	saved         savedState
 	reissuedAfter bool // reissued after being preserved
+}
+
+// setSrc points d's source slot i at producer p (nil = committed state),
+// moving the (d, i) pair from the old producer's consumer list to p's.
+// It is the only writer of src.
+func setSrc(d *dyn, i int, p *dyn) {
+	old := d.src[i]
+	if old == p {
+		return
+	}
+	if old != nil {
+		// Unlink (d, i) from old's list.
+		next, nextS := d.nextC[i], d.nextS[i]
+		if prev := d.prevC[i]; prev == nil {
+			old.cons, old.consSlot = next, nextS
+		} else {
+			ps := d.prevS[i]
+			prev.nextC[ps], prev.nextS[ps] = next, nextS
+		}
+		if next != nil {
+			next.prevC[nextS], next.prevS[nextS] = d.prevC[i], d.prevS[i]
+		}
+		d.nextC[i], d.prevC[i] = nil, nil
+	}
+	d.src[i] = p
+	if p != nil {
+		// Push (d, i) at the head of p's list.
+		d.nextC[i], d.nextS[i] = p.cons, p.consSlot
+		d.prevC[i] = nil
+		if p.cons != nil {
+			p.cons.prevC[p.consSlot], p.cons.prevS[p.consSlot] = d, uint8(i)
+		}
+		p.cons, p.consSlot = d, uint8(i)
+	}
 }
 
 type savedState uint8
@@ -156,9 +220,9 @@ type window struct {
 	// profile. It is struct-of-arrays: liveCache holds the *dyn in window
 	// order, and liveFlags mirrors, entry for entry, the byte of state
 	// the hot filters test (dead, pipeline state, pending control,
-	// load/store, address validity) — so the issue, resolve, stability,
-	// wake, store-forward and goldSync scans reject the common case from
-	// a dense byte array without dereferencing the instruction at all.
+	// load/store, address validity) — so the issue, resolve, store-scan
+	// and goldSync scans reject the common case from a dense byte array
+	// without dereferencing the instruction at all.
 	// The flag byte is re-mirrored by noteFlags at every state
 	// transition; all transition sites funnel through a handful of
 	// machine methods (issue, complete, forceReissue, reissueLoad,
